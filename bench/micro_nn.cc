@@ -1,8 +1,7 @@
 // Microbenchmarks of the neural-network substrate: matmul kernels per
-// backend (scalar / AVX2 / AVX-512), the int8 quantized layer pipeline, a
-// full MSCN-shaped forward pass (fp32 and quantized), a training step
-// (forward + backward + Adam), and batched inference — the cost model
-// behind section 4.7.
+// backend (scalar / AVX2 / AVX-512), a full MSCN-shaped forward pass, a
+// training step (forward + backward + Adam), and batched inference — the
+// cost model behind section 4.7.
 
 #include <cstdint>
 #include <vector>
@@ -12,7 +11,6 @@
 #include "core/featurizer.h"
 #include "core/model.h"
 #include "core/mscn_estimator.h"
-#include "core/quantized_model.h"
 #include "core/trainer.h"
 #include "imdb/imdb.h"
 #include "nn/adam.h"
@@ -101,45 +99,6 @@ BENCHMARK(BM_GemmBackend)
     ->Args({1, 61, 131, 67})
     ->Args({2, 61, 131, 67});
 
-// The whole quantized linear pipeline (dynamic activation quantization,
-// int8 GEMM, dequant + bias + ReLU epilogue) against the same backend's
-// fp32 GEMM — the per-layer cost side of the int8 serving decision.
-void BM_Int8LayerBackend(benchmark::State& state) {
-  const nn::KernelOps* ops = BackendOps(state.range(0));
-  if (ops == nullptr) {
-    state.SkipWithError("backend unavailable on this build/CPU");
-    return;
-  }
-  const int64_t m = state.range(1);
-  const int64_t k = state.range(2);
-  const int64_t n = state.range(3);
-  Rng rng(8);
-  const Tensor x = Tensor::Randn({m, k}, 1.0f, &rng);
-  const Tensor bias = Tensor::Randn({n}, 0.1f, &rng);
-  std::vector<int8_t> weight(static_cast<size_t>(k * n), 3);
-  std::vector<float> weight_scales(static_cast<size_t>(n), 0.01f);
-  std::vector<int8_t> quantized(static_cast<size_t>(m * k));
-  std::vector<float> row_scales(static_cast<size_t>(m));
-  std::vector<int32_t> acc(static_cast<size_t>(m * n));
-  Tensor out({m, n});
-  for (auto _ : state) {
-    ops->quantize_rows(x.data(), quantized.data(), row_scales.data(), m, k);
-    ops->gemm_s8s8_i32(quantized.data(), weight.data(), acc.data(), m, k, n);
-    ops->dequant_bias_act(acc.data(), row_scales.data(),
-                          weight_scales.data(), bias.data(), out.data(), m,
-                          n, true);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * m * k * n);
-  state.SetLabel(BackendArgName(state.range(0)));
-}
-BENCHMARK(BM_Int8LayerBackend)
-    ->ArgNames({"backend", "m", "k", "n"})
-    ->Args({0, 256, 256, 256})
-    ->Args({1, 256, 256, 256})
-    ->Args({2, 256, 256, 256})
-    ->Args({2, 256, 1068, 256});
-
 // Shared fixture: a small database, workload and featurized batch.
 struct MscnFixture {
   Database db;
@@ -206,32 +165,6 @@ void BM_MscnForward(benchmark::State& state) {
                           static_cast<int64_t>(batch_size));
 }
 BENCHMARK(BM_MscnForward)->Arg(1)->Arg(64)->Arg(256);
-
-// The int8 snapshot's batched forward, comparable row-for-row with
-// BM_MscnForward (same shapes, same featurized batch).
-void BM_MscnForwardQuant(benchmark::State& state) {
-  MscnFixture& fixture = MscnFixture::Get();
-  const size_t batch_size = static_cast<size_t>(state.range(0));
-  MscnConfig config;
-  config.hidden_units = 64;
-  Rng rng(2);
-  MscnModel model(fixture.featurizer.dims(), config, &rng);
-  model.set_normalizer(TargetNormalizer(0.0, 15.0));
-  const auto quantized = QuantizedMscnModel::FromModel(model);
-  const MscnBatch batch =
-      fixture.featurizer.MakeBatch(fixture.workload, 0, batch_size, nullptr);
-  std::vector<double> estimates;
-  for (auto _ : state) {
-    estimates.clear();
-    quantized->Predict(batch, &estimates);
-    benchmark::DoNotOptimize(estimates.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(batch_size));
-  state.SetLabel(
-      nn::KernelBackendName(nn::ActiveKernelBackend()));
-}
-BENCHMARK(BM_MscnForwardQuant)->Arg(1)->Arg(64)->Arg(256);
 
 // Steady-state serving: EstimateAll through a reused tape workspace, the
 // path the section 4.7 batched-latency numbers measure.

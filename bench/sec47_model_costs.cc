@@ -1,11 +1,9 @@
 // Section 4.7: model costs — training time, prediction latency (single
-// query and batched), serialized model size, and the int8 quantized
-// snapshot's footprint and batched latency, for the three MSCN feature
-// variants.
+// query and batched) and serialized model size, for the three MSCN
+// feature variants.
 
 #include <iostream>
 
-#include "core/quantized_model.h"
 #include "eval/experiment.h"
 #include "eval/report.h"
 #include "util/str.h"
@@ -21,11 +19,9 @@ int main() {
                                          lc::FeatureVariant::kSampleCounts,
                                          lc::FeatureVariant::kBitmaps};
 
-  std::cout << lc::Format("%-22s %14s %14s %16s %16s %16s %12s %14s\n",
-                          "variant", "train time", "size on disk",
-                          "latency (1 query)", "latency (warm $)",
-                          "latency (batched)", "int8 size",
-                          "int8 (batched)");
+  std::cout << lc::Format("%-22s %14s %14s %16s %16s %16s\n", "variant",
+                          "train time", "size on disk", "latency (1 query)",
+                          "latency (warm $)", "latency (batched)");
   for (lc::FeatureVariant variant : variants) {
     lc::TrainingHistory history;
     lc::MscnModel& model = experiment.Model(variant, &history);
@@ -57,26 +53,14 @@ int main() {
     estimator.EstimateAll(pointers, 256);
     const double batched_latency = batch_timer.Seconds() / probes;
 
-    // The int8 snapshot: quantize once, then the same batched sweep
-    // through the quantized forward.
-    const auto quantized = lc::QuantizedMscnModel::FromModel(model);
-    const lc::MscnBatch batch =
-        experiment.FeaturizerFor(variant).MakeBatch(pointers, nullptr);
-    std::vector<double> quant_estimates;
-    lc::WallTimer quant_timer;
-    quantized->Predict(batch, &quant_estimates);
-    const double quant_latency = quant_timer.Seconds() / probes;
-
     std::cout << lc::Format(
-        "%-22s %14s %14s %16s %16s %16s %12s %14s\n",
+        "%-22s %14s %14s %16s %16s %16s\n",
         lc::Format("MSCN (%s)", lc::FeatureVariantName(variant)).c_str(),
         lc::HumanSeconds(history.total_seconds).c_str(),
         lc::HumanBytes(model.ToBytes().size()).c_str(),
         lc::HumanSeconds(single_latency).c_str(),
         lc::HumanSeconds(warm_latency).c_str(),
-        lc::HumanSeconds(batched_latency).c_str(),
-        lc::HumanBytes(quantized->ByteSize()).c_str(),
-        lc::HumanSeconds(quant_latency).c_str());
+        lc::HumanSeconds(batched_latency).c_str());
     lc::PrintCacheCounters(std::cout, estimator.name(),
                            estimator.cache_counters());
   }

@@ -38,9 +38,7 @@ MscnEnsemble::MscnEnsemble(const Featurizer* featurizer,
                            const std::vector<const LabeledQuery*>& train,
                            const std::vector<const LabeledQuery*>& validation)
     : featurizer_(featurizer),
-      members_(TrainMembers(featurizer, config, size, train, validation)) {
-  PublishQuantizedMembers(members_.Load());
-}
+      members_(TrainMembers(featurizer, config, size, train, validation)) {}
 
 MscnEnsemble::MscnEnsemble(const Featurizer* featurizer,
                            std::vector<MscnModel> members)
@@ -53,7 +51,6 @@ MscnEnsemble::MscnEnsemble(const Featurizer* featurizer,
     LC_CHECK(member.dims() == featurizer->dims())
         << "ensemble member does not match the featurizer";
   }
-  PublishQuantizedMembers(current);
 }
 
 std::shared_ptr<std::vector<MscnModel>> MscnEnsemble::SwapMembers(
@@ -64,30 +61,7 @@ std::shared_ptr<std::vector<MscnModel>> MscnEnsemble::SwapMembers(
     LC_CHECK(member.dims() == featurizer_->dims())
         << "swapped-in ensemble member does not match the featurizer";
   }
-  const std::shared_ptr<std::vector<MscnModel>> published = fresh;
-  std::shared_ptr<std::vector<MscnModel>> superseded =
-      members_.Swap(std::move(fresh));
-  // Quantize the freshly published set. Until this lands, EstimateAll sees
-  // revision-mismatched snapshots and scores fp32 — slower, never wrong.
-  PublishQuantizedMembers(published);
-  return superseded;
-}
-
-void MscnEnsemble::PublishQuantizedMembers(
-    const std::shared_ptr<std::vector<MscnModel>>& members) {
-  if (!QuantPolicy::FromEnv().int8_enabled) {
-    MutexLock lock(&quant_mu_);
-    quantized_members_ = nullptr;
-    return;
-  }
-  auto snapshots = std::make_shared<
-      std::vector<std::shared_ptr<const QuantizedMscnModel>>>();
-  snapshots->reserve(members->size());
-  for (const MscnModel& member : *members) {
-    snapshots->push_back(QuantizedMscnModel::FromModel(member));
-  }
-  MutexLock lock(&quant_mu_);
-  quantized_members_ = std::move(snapshots);
+  return members_.Swap(std::move(fresh));
 }
 
 MscnModel& MscnEnsemble::member(int index) {
@@ -140,20 +114,6 @@ std::vector<double> MscnEnsemble::EstimateAll(
     ThreadPool* pool) {
   // One snapshot for the whole sweep, shared read-only by every shard.
   const std::shared_ptr<std::vector<MscnModel>> members = members_.Load();
-  // The int8 snapshots serve only when they cover this exact member set:
-  // same count, and every snapshot tagged with its member's live revision.
-  // A swap or in-place retrain between the two loads simply fails the
-  // check and the sweep runs fp32 (lazy retirement, same as the estimator).
-  const auto quant = quantized_members();
-  bool use_quant = quant != nullptr && quant->size() == members->size();
-  if (use_quant) {
-    for (size_t m = 0; m < members->size(); ++m) {
-      if ((*quant)[m]->source_revision() != (*members)[m].revision()) {
-        use_quant = false;
-        break;
-      }
-    }
-  }
   std::vector<double> estimates(queries.size());
   // Every member's forward pass only reads that member's parameters; see
   // ForEachBatchShard for the partition/determinism argument.
@@ -166,11 +126,7 @@ std::vector<double> MscnEnsemble::EstimateAll(
         std::vector<double> log_sums(slice.size(), 0.0);
         for (size_t m = 0; m < members->size(); ++m) {
           member_estimates.clear();
-          if (use_quant) {
-            (*quant)[m]->Predict(batch, &member_estimates);
-          } else {
-            (*members)[m].Predict(batch, tape, &member_estimates);
-          }
+          (*members)[m].Predict(batch, tape, &member_estimates);
           for (size_t i = 0; i < slice.size(); ++i) {
             log_sums[i] += std::log(std::max(1.0, member_estimates[i]));
           }

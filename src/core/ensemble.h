@@ -14,13 +14,10 @@
 #include <vector>
 
 #include "core/mscn_estimator.h"
-#include "core/quantized_model.h"
 #include "core/trainer.h"
 #include "est/estimator.h"
-#include "util/mutex.h"
 #include "util/parallel.h"
 #include "util/swap_handle.h"
-#include "util/thread_annotations.h"
 
 namespace lc {
 
@@ -86,19 +83,6 @@ class MscnEnsemble : public CardinalityEstimator {
     return members_.Load();
   }
 
-  /// The int8 member snapshots published alongside the current member set,
-  /// or nullptr when LC_NN_QUANT=off. Unlike MscnEstimator, the ensemble
-  /// holds no calibration workload, so publication here is ungated by a
-  /// q-error bound; the geometric mean over members damps the per-member
-  /// quantization noise instead. Only the batched EstimateAll path serves
-  /// from these — EstimateWithUncertainty stays fp32 so the uncertainty
-  /// signal measures genuine member disagreement, not rounding artifacts.
-  std::shared_ptr<const std::vector<std::shared_ptr<const QuantizedMscnModel>>>
-  quantized_members() const LC_EXCLUDES(quant_mu_) {
-    MutexLock lock(&quant_mu_);
-    return quantized_members_;
-  }
-
   int size() const { return static_cast<int>(members_.Load()->size()); }
   /// Reference into the currently published member set. NOT safe against
   /// a concurrent or later SwapMembers: once the handle and every
@@ -109,22 +93,8 @@ class MscnEnsemble : public CardinalityEstimator {
   MscnModel& member(int index);
 
  private:
-  // Quantizes every member of `members` and publishes the snapshot vector
-  // (no-op unless QuantPolicy::FromEnv() enables int8). Runs at
-  // construction and after each SwapMembers, off the serving paths.
-  void PublishQuantizedMembers(
-      const std::shared_ptr<std::vector<MscnModel>>& members)
-      LC_EXCLUDES(quant_mu_);
-
   const Featurizer* featurizer_;
   SwapHandle<std::vector<MscnModel>> members_;
-  // Nullable: non-null only while the quantized path is enabled and a
-  // publication has run. Lives under quant_mu_ rather than a SwapHandle
-  // because SwapHandle CHECKs non-null, so it cannot hold an optional
-  // snapshot.
-  mutable Mutex quant_mu_;
-  std::shared_ptr<const std::vector<std::shared_ptr<const QuantizedMscnModel>>>
-      quantized_members_ LC_GUARDED_BY(quant_mu_);
   // Serving workspace shared by all members and reused across calls (see
   // nn/tape.h); makes the ensemble stateful like MscnEstimator — a single
   // instance must not serve concurrent calls.

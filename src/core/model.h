@@ -6,8 +6,6 @@
 #ifndef LC_CORE_MODEL_H_
 #define LC_CORE_MODEL_H_
 
-#include <atomic>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -18,45 +16,6 @@
 #include "nn/tape.h"
 
 namespace lc {
-
-/// The model's weight-mutation counter. Atomic so result caches can check
-/// entry freshness from serving threads while a trainer bumps it, but with
-/// value-copy semantics so MscnModel keeps its defaulted copy/move special
-/// members (models live in vectors and StatusOr). A copied model starts
-/// from the source's current count; the counters then diverge, which is
-/// correct — they version independent weight sets from then on.
-class WeightRevision {
- public:
-  WeightRevision() = default;
-  WeightRevision(const WeightRevision& other) : value_(other.load()) {}
-  WeightRevision& operator=(const WeightRevision& other) {
-    value_.store(other.load(), std::memory_order_relaxed);
-    return *this;
-  }
-
-  /// Acquire load: a reader that observes revision N also observes every
-  /// weight write that happened before the release-increment to N.
-  uint64_t load() const { return value_.load(std::memory_order_acquire); }
-  void Bump() { value_.fetch_add(1, std::memory_order_release); }
-
-  /// Advances the counter to at least `other + 1` (release; no-op when
-  /// already past it). Used when a trained clone is published over a
-  /// serving handle (MscnEstimator::SwapModel): the estimator-visible
-  /// revision then strictly increases across swaps and in-place retrains
-  /// alike, so a cache entry tagged under any superseded regime can never
-  /// compare equal to the current revision again (no ABA window).
-  void AdvancePast(uint64_t other) {
-    uint64_t current = value_.load(std::memory_order_relaxed);
-    while (current <= other &&
-           !value_.compare_exchange_weak(current, other + 1,
-                                         std::memory_order_release,
-                                         std::memory_order_relaxed)) {
-    }
-  }
-
- private:
-  std::atomic<uint64_t> value_{0};
-};
 
 class MscnModel {
  public:
@@ -85,27 +44,11 @@ class MscnModel {
   const FeatureDims& dims() const { return dims_; }
   const MscnConfig& config() const { return config_; }
 
-  /// Weight-mutation counter: bumped by whoever updates the parameters of
-  /// an already-served model (Trainer::ContinueTraining). Result caches
-  /// key entry validity on it (see MscnEstimator); reads and bumps are
-  /// atomic, so serving threads may poll it while a retrain is in flight.
-  uint64_t revision() const { return revision_.load(); }
-  void BumpRevision() { revision_.Bump(); }
-  void AdvanceRevisionPast(uint64_t other) { revision_.AdvancePast(other); }
-
   TargetNormalizer& normalizer() { return normalizer_; }
   const TargetNormalizer& normalizer() const { return normalizer_; }
   void set_normalizer(TargetNormalizer normalizer) {
     normalizer_ = normalizer;
   }
-
-  /// Read access to the four MLP blocks, in forward-pass order. The
-  /// quantized publication path (core/quantized_model.h) snapshots their
-  /// weights; anything else should go through Forward/Predict.
-  const TwoLayerMlp& table_module() const { return table_module_; }
-  const TwoLayerMlp& join_module() const { return join_module_; }
-  const TwoLayerMlp& predicate_module() const { return predicate_module_; }
-  const TwoLayerMlp& output_mlp() const { return output_mlp_; }
 
   /// Serialized model footprint in bytes (paper section 4.7 reports this).
   size_t ByteSize() const;
@@ -120,7 +63,6 @@ class MscnModel {
   FeatureDims dims_;
   MscnConfig config_;
   TargetNormalizer normalizer_;
-  WeightRevision revision_;
   TwoLayerMlp table_module_;
   TwoLayerMlp join_module_;
   TwoLayerMlp predicate_module_;

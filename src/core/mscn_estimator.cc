@@ -42,22 +42,18 @@ MscnEstimator::MscnEstimator(const Featurizer* featurizer,
                              std::string display_name,
                              int64_t cache_capacity)
     : featurizer_(featurizer),
-      model_(std::move(model)),
+      published_(std::make_shared<const Publication>(
+          Publication{std::move(model), /*version=*/0})),
       display_name_(std::move(display_name)) {
   LC_CHECK(featurizer != nullptr);
-  const std::shared_ptr<MscnModel> current = model_.Load();
+  const std::shared_ptr<MscnModel> current = model_snapshot();
+  LC_CHECK(current != nullptr);
   LC_CHECK(featurizer->dims() == current->dims())
       << "featurizer and model disagree on feature dimensions";
   if (cache_capacity < 0) cache_capacity = GetEnvInt("LC_EST_CACHE", 4096);
   if (cache_capacity > 0) {
     cache_ = std::make_unique<ShardedLruCache<std::string, CachedEstimate>>(
         static_cast<size_t>(cache_capacity));
-  }
-  quant_policy_ = QuantPolicy::FromEnv();
-  if (quant_policy_.int8_enabled) {
-    // No calibration workload exists yet, so this publication is ungated;
-    // ConfigureQuantization installs the gate (and re-publishes) later.
-    PublishQuantized(current);
   }
 }
 
@@ -67,21 +63,14 @@ double MscnEstimator::Estimate(const LabeledQuery& query) {
   return estimates[0];
 }
 
-bool MscnEstimator::LookupFresh(const MscnModel& model,
+bool MscnEstimator::LookupFresh(uint64_t version,
                                 const std::string& canonical_key,
                                 double* estimate, bool count_miss) {
   if (!cache_) return false;
-  // The revision is read before the entry: if a retrain bumps it (or a
-  // swap supersedes the snapshot) between the two, a fresh-looking entry
-  // under the old revision is simply served one last time *before* the
-  // retrain's publication point — linearizable — while an entry inserted
-  // for the new revision fails the comparison and is recomputed, which is
-  // safe (never stale, merely redundant).
-  const uint64_t revision = model.revision();
   CachedEstimate entry;
   if (!cache_->LookupValid(canonical_key, &entry,
-                           [revision](const CachedEstimate& cached) {
-                             return cached.revision == revision;
+                           [version](const CachedEstimate& cached) {
+                             return cached.version == version;
                            },
                            count_miss)) {
     return false;
@@ -95,8 +84,8 @@ bool MscnEstimator::ProbeCache(const std::string& canonical_key,
   // A probe miss is a peek, not a counted miss: the estimate that follows
   // it (EstimateBatch in a server lane) re-runs the counting lookup, so
   // counting here too would double every cold request's miss.
-  const std::shared_ptr<MscnModel> model = model_.Load();
-  return LookupFresh(*model, canonical_key, estimate, /*count_miss=*/false);
+  return LookupFresh(published_.Load()->version, canonical_key, estimate,
+                     /*count_miss=*/false);
 }
 
 std::shared_ptr<MscnModel> MscnEstimator::SwapModel(
@@ -105,81 +94,15 @@ std::shared_ptr<MscnModel> MscnEstimator::SwapModel(
   LC_CHECK(featurizer_->dims() == fresh->dims())
       << "swapped-in model was trained for a different featurization";
   MutexLock lock(&swap_mu_);
-  const std::shared_ptr<MscnModel> current = model_.Load();
-  LC_CHECK(fresh.get() != current.get())
+  const std::shared_ptr<const Publication> current = published_.Load();
+  LC_CHECK(fresh.get() != current->model.get())
       << "swapping the published model with itself";
-  // Strict monotonicity of the estimator-visible revision: whatever count
-  // the clone's own training history produced, publish it above the
-  // superseded model's so no cached entry of any earlier regime can ever
-  // read as fresh again (ABA-free lazy retirement).
-  fresh->AdvanceRevisionPast(current->revision());
-  const std::shared_ptr<MscnModel> published = fresh;
-  std::shared_ptr<MscnModel> superseded = model_.Swap(std::move(fresh));
-  // Quantize the newly published weights (after the revision settled, so
-  // the snapshot's tag matches what serving threads compare against).
-  // Until this lands, readers see a revision-mismatched snapshot and score
-  // fp32 — briefly slower, never wrong.
-  PublishQuantized(published);
-  return superseded;
-}
-
-void MscnEstimator::ConfigureQuantization(
-    QuantPolicy policy, std::vector<LabeledQuery> calibration) {
-  {
-    MutexLock lock(&quant_mu_);
-    quant_policy_ = policy;
-    quant_calibration_ = std::move(calibration);
-  }
-  PublishQuantized(model_.Load());
-  // fp32-computed cache entries under the current revision must not mix
-  // with int8-computed ones (and vice versa when turning the path off).
-  InvalidateCache();
-}
-
-void MscnEstimator::PublishQuantized(
-    const std::shared_ptr<MscnModel>& model) {
-  QuantPolicy policy;
-  std::vector<LabeledQuery> calibration;
-  {
-    MutexLock lock(&quant_mu_);
-    policy = quant_policy_;
-    if (!policy.int8_enabled) {
-      quantized_ = nullptr;
-      return;
-    }
-    calibration = quant_calibration_;
-  }
-  std::shared_ptr<const QuantizedMscnModel> candidate =
-      QuantizedMscnModel::FromModel(*model);
-  if (!calibration.empty()) {
-    std::vector<const LabeledQuery*> pointers;
-    pointers.reserve(calibration.size());
-    for (const LabeledQuery& query : calibration) pointers.push_back(&query);
-    const MscnBatch batch = featurizer_->MakeBatch(pointers, nullptr);
-    std::vector<double> fp32_estimates;
-    std::vector<double> int8_estimates;
-    {
-      // The fp32 reference pass reads live weights; exclude a concurrent
-      // in-place writer the same way the serving paths do.
-      ReaderMutexLock lock(&model_mu_);
-      Tape tape;
-      model->Predict(batch, &tape, &fp32_estimates);
-    }
-    candidate->Predict(batch, &int8_estimates);
-    const QuantDrift drift =
-        QuantizationDrift(fp32_estimates, int8_estimates);
-    if (drift.p95 > policy.max_qerr || drift.median > policy.max_qerr) {
-      // The quantized weights would degrade estimates past the bound:
-      // refuse publication and keep (fall back to) fp32 serving.
-      quant_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      MutexLock lock(&quant_mu_);
-      quantized_ = nullptr;
-      return;
-    }
-  }
-  quant_published_.fetch_add(1, std::memory_order_relaxed);
-  MutexLock lock(&quant_mu_);
-  quantized_ = std::move(candidate);
+  // Strictly increasing versions: no cached entry of any earlier
+  // publication can ever read as fresh again (ABA-free lazy retirement).
+  const std::shared_ptr<const Publication> superseded =
+      published_.Swap(std::make_shared<const Publication>(
+          Publication{std::move(fresh), current->version + 1}));
+  return superseded->model;
 }
 
 void MscnEstimator::EstimateBatch(
@@ -191,12 +114,12 @@ void MscnEstimator::EstimateBatch(
   if (cache_hits != nullptr) cache_hits->assign(count, 0);
   if (count == 0) return;
 
-  // One snapshot for the whole call: lookups judge freshness against it
-  // and misses are scored with it, so the batch is coherent (and its
-  // estimates bit-match EstimateAll over this model) even when a swap
-  // publishes a successor mid-flight — the handle keeps the snapshot
+  // One snapshot for the whole call: lookups judge freshness against its
+  // version and misses are scored with its model, so the batch is coherent
+  // (and its estimates bit-match EstimateAll over this model) even when a
+  // swap publishes a successor mid-flight — the handle keeps the snapshot
   // alive until we are done with it.
-  const std::shared_ptr<MscnModel> model = model_.Load();
+  const std::shared_ptr<const Publication> published = published_.Load();
 
   // Partition into cache hits (served immediately) and misses (scored as
   // one padded batch below). With the cache disabled everything misses.
@@ -208,7 +131,8 @@ void MscnEstimator::EstimateBatch(
     for (size_t i = 0; i < count; ++i) {
       std::string key = queries[i]->query.CanonicalKey();
       double cached = 0.0;
-      if (LookupFresh(*model, key, &cached, /*count_miss=*/true)) {
+      if (LookupFresh(published->version, key, &cached,
+                      /*count_miss=*/true)) {
         (*estimates)[i] = cached;
         if (cache_hits != nullptr) (*cache_hits)[i] = 1;
       } else {
@@ -222,35 +146,9 @@ void MscnEstimator::EstimateBatch(
   const std::vector<const LabeledQuery*>& to_score =
       cache_ ? misses : queries;
 
-  // int8 snapshot, if one is published; whether it actually serves is
-  // decided below against the revision read under the lock.
-  std::shared_ptr<const QuantizedMscnModel> quant;
-  {
-    MutexLock lock(&quant_mu_);
-    quant = quantized_;
-  }
-
   std::vector<double> scored;
-  uint64_t revision = 0;
-  {
-    // Forward passes read the weights; a concurrent in-place retrain holds
-    // this exclusively (AcquireModelWriteLock), so within the section the
-    // revision is stable and matches the weights we read. A copy-train-
-    // swap never takes the exclusive side — it replaces the pointer, and
-    // we keep scoring the snapshot we loaded.
-    ReaderMutexLock lock(&model_mu_);
-    revision = model->revision();
-    const MscnBatch batch = featurizer_->MakeBatch(to_score, nullptr);
-    if (quant != nullptr && quant->source_revision() == revision) {
-      // Quantized serving: the snapshot was built from exactly these
-      // weights (revision matches, and an in-place writer is excluded for
-      // the duration), so every miss in this batch — and thus every cache
-      // insert under this revision — is consistently int8-scored.
-      quant->Predict(batch, &scored);
-    } else {
-      model->Predict(batch, tape, &scored);
-    }
-  }
+  const MscnBatch batch = featurizer_->MakeBatch(to_score, nullptr);
+  published->model->Predict(batch, tape, &scored);
 
   if (!cache_) {
     *estimates = std::move(scored);
@@ -259,18 +157,16 @@ void MscnEstimator::EstimateBatch(
   for (size_t j = 0; j < miss_slots.size(); ++j) {
     (*estimates)[miss_slots[j]] = scored[j];
     cache_->Insert(std::move(miss_keys[j]),
-                   CachedEstimate{revision, scored[j]});
+                   CachedEstimate{published->version, scored[j]});
   }
 }
 
 std::vector<double> MscnEstimator::EstimateAll(
     const std::vector<const LabeledQuery*>& queries, size_t batch_size,
     ThreadPool* pool) {
-  // One snapshot for the whole sweep; the shared hold excludes in-place
-  // weight writers, and the pool workers' reads are ordered through the
-  // fork/join.
-  const std::shared_ptr<MscnModel> model = model_.Load();
-  ReaderMutexLock lock(&model_mu_);
+  // One snapshot for the whole sweep; the pool workers' reads are ordered
+  // through the fork/join.
+  const std::shared_ptr<MscnModel> model = model_snapshot();
   std::vector<double> estimates(queries.size());
   // Forward passes only read the shared model; see ForEachBatchShard for
   // the determinism argument.
@@ -289,10 +185,6 @@ std::vector<double> MscnEstimator::EstimateAll(
 
 CacheCounters MscnEstimator::cache_counters() const {
   return cache_ ? cache_->counters() : CacheCounters{};
-}
-
-void MscnEstimator::InvalidateCache() {
-  if (cache_) cache_->Clear();
 }
 
 }  // namespace lc

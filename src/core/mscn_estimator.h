@@ -8,11 +8,11 @@
 //    sized by the LC_EST_CACHE knob (entries; 0 disables; default 4096).
 //    A hit skips featurization and the forward pass. Counters are exposed
 //    via cache_counters() and printed by eval::PrintCacheCounters.
-//  - Every cache entry records the model weight revision it was computed
-//    under and is served only while that revision is current, so a retrain
-//    (in-place or copy-train-swap) can never surface a pre-retrain
-//    estimate as fresh — even when the retrain races with serving threads.
-//    See "Invalidation protocol" below.
+//  - Every cache entry records the publication version of the model it
+//    was computed under and is served only while that version is current,
+//    so a model update can never surface a pre-update estimate as fresh —
+//    even when the swap races with serving threads. See "Publication
+//    protocol" below.
 //  - EstimateAll partitions its batches across the process thread pool
 //    with per-shard tapes, yielding the same estimates as the sequential
 //    path bit-for-bit (padding rows are zero and masked, so a query's
@@ -30,54 +30,31 @@
 // off to the side (Trainer::TrainClone) while in-flight estimates finish
 // against the model they started with.
 //
-// Two retrain disciplines compose with serving (docs/ARCHITECTURE.md,
-// "Serving" — use exactly one at a time per estimator):
-//  - Copy-train-swap (zero-stall, preferred): TrainClone + SwapModel. No
-//    estimate ever blocks on training; the swap is a pointer exchange, and
-//    SwapModel advances the clone's revision strictly past the superseded
-//    model's so per-entry cache invalidation retires old results lazily.
-//  - In-place (legacy): hold AcquireModelWriteLock() around
-//    Trainer::ContinueTraining on the *published* model. Correct, but
-//    every cache miss stalls behind the writer for the whole retrain.
-//
-// Invalidation protocol (audited for races; pinned by tests/serve_test.cc
-// under TSan):
-//  - MscnModel::revision() is an atomic counter bumped (release) by
-//    ContinueTraining before it mutates weights; cache lookups load it
-//    (acquire) and treat any entry whose recorded revision differs as a
+// Publication protocol (pinned by tests/serve_test.cc under TSan):
+//  - A published model is immutable. Nothing writes its weights while any
+//    estimator publishes it — not Trainer::ContinueTraining, not a direct
+//    parameter write — so the estimate paths read it without a lock. The
+//    one way to update a served model is copy-train-swap: TrainClone +
+//    SwapModel. No estimate ever blocks on training; the swap is a pointer
+//    exchange. The rule is a contract, not a type: the forward pass
+//    records parameters on a Tape by non-const Parameter*, so the handle
+//    holds a mutable MscnModel.
+//  - The model and its publication version share one SwapHandle slot, so
+//    a single Load() yields both. The version starts at 0 and only
+//    SwapModel sets it, one past the version it supersedes; SwapModel
+//    never writes the model it is given.
+//  - Cache lookups judge freshness against the version of the caller's
+//    snapshot and treat any entry whose recorded version differs as a
 //    miss, erasing it in place (lazy retirement — never a global wipe,
-//    whose clear-then-reinsert window can serve a pre-retrain estimate as
-//    fresh). Entries inserted by in-flight estimates that started before a
-//    bump or swap carry the superseded revision and are therefore never
-//    served afterwards.
-//  - SwapModel makes the estimator-visible revision strictly monotonic
-//    (AdvanceRevisionPast), so an entry tagged under any earlier model —
-//    however many swaps ago — can never compare equal to the current
-//    revision again.
-//  - Weight *bytes* of the published model are guarded by a reader/writer
-//    lock: estimate paths hold it shared around the forward pass, and an
-//    in-place retrain must hold AcquireModelWriteLock() for the duration.
-//    Cache hits bypass the lock entirely, so they stay fast while a
-//    retrain is in flight; the swap path never takes it exclusively at
-//    all.
-
-// Quantized serving (LC_NN_QUANT=int8, off by default): alongside the fp32
-// model the estimator can hold an int8 snapshot (core/quantized_model.h)
-// published at SwapModel time (and at construction / ConfigureQuantization).
-// Publication is gated: when a calibration workload is installed, the
-// candidate snapshot's int8-vs-fp32 q-error drift must stay within
-// QuantPolicy::max_qerr or the estimator counts a fallback and keeps
-// serving fp32. The snapshot is revision-tagged, so EstimateBatch uses it
-// only while the live model still carries the exact revision it was built
-// from — an in-place retrain silently retires it, the same lazy-retirement
-// rule the result cache follows. EstimateAll never uses the snapshot; it
-// stays the fp32 ground-truth path the accuracy gate itself compares
-// against.
+//    whose clear-then-reinsert window can serve a pre-swap estimate as
+//    fresh). Entries inserted by in-flight estimates that started before
+//    a swap carry the superseded version and are therefore never served
+//    afterwards. Versions strictly increase, so an entry tagged under any
+//    earlier publication can never compare equal to the current one.
 
 #ifndef LC_CORE_MSCN_ESTIMATOR_H_
 #define LC_CORE_MSCN_ESTIMATOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -86,7 +63,6 @@
 
 #include "core/featurizer.h"
 #include "core/model.h"
-#include "core/quantized_model.h"
 #include "est/estimator.h"
 #include "nn/tape.h"
 #include "util/lru_cache.h"
@@ -137,63 +113,45 @@ class MscnEstimator : public CardinalityEstimator {
   /// the cache keeps the hot loop lock-free.
   std::vector<double> EstimateAll(
       const std::vector<const LabeledQuery*>& queries, size_t batch_size,
-      ThreadPool* pool = ThreadPool::Global()) LC_EXCLUDES(model_mu_);
+      ThreadPool* pool = ThreadPool::Global());
 
   /// The serving submit path: estimates `queries` as one batch on the
   /// caller-owned `tape`, consulting and filling the result cache.
   /// `estimates` receives one value per query; `cache_hits` (optional) one
-  /// flag per query. When the quantized path is active (quantized_active())
-  /// misses score on the int8 snapshot, inside the gate's q-error bound of
-  /// the fp32 values; with quantization off (the default) estimates are
-  /// bit-identical to EstimateAll over the
+  /// flag per query. Estimates are bit-identical to EstimateAll over the
   /// same queries against the model snapshot that served them: hits replay
-  /// a value the same forward-pass math produced earlier under a revision
-  /// that is still current, and misses are scored on one snapshot with
-  /// padding-masked batching independent of batch composition. Safe to
-  /// call from many threads concurrently provided each caller passes its
-  /// own tape.
+  /// a value the same forward-pass math produced earlier under a
+  /// publication version that is still current, and misses are scored on
+  /// one snapshot with padding-masked batching independent of batch
+  /// composition. Safe to call from many threads concurrently provided
+  /// each caller passes its own tape.
   void EstimateBatch(const std::vector<const LabeledQuery*>& queries,
                      Tape* tape, std::vector<double>* estimates,
-                     std::vector<uint8_t>* cache_hits)
-      LC_EXCLUDES(model_mu_, quant_mu_);
+                     std::vector<uint8_t>* cache_hits);
 
   /// Cache-only probe, keyed by Query::CanonicalKey() text: true (and
-  /// `*estimate` set) only on a hit that is fresh for the current weight
-  /// revision. Never touches the weights, so it cannot stall on a
-  /// concurrent retrain. Counts toward the hit/miss counters only when
-  /// it hits (a miss is recounted by the estimate that follows).
+  /// `*estimate` set) only on a hit that is fresh for the current
+  /// publication version. Never runs the model. Counts toward the
+  /// hit/miss counters only when it hits (a miss is recounted by the
+  /// estimate that follows).
   bool ProbeCache(const std::string& canonical_key, double* estimate);
 
   /// Atomically publishes `fresh` (trained off to the side, e.g. by
-  /// Trainer::TrainClone) as the serving model and returns the superseded
-  /// one. In-flight estimates finish against the snapshot they loaded; new
-  /// estimates see `fresh`. The fresh model's revision is advanced
-  /// strictly past the superseded model's, so cached estimates of every
-  /// earlier regime retire lazily at the lookup that discovers them — no
-  /// cache wipe, no stall. Do not combine with a concurrent in-place
-  /// retrain of the published model.
+  /// Trainer::TrainClone) as the serving model under the next publication
+  /// version and returns the superseded model. In-flight estimates finish
+  /// against the snapshot they loaded; new estimates see `fresh`. Cached
+  /// estimates of every earlier publication retire lazily at the lookup
+  /// that discovers them — no cache wipe, no stall. `fresh` is not
+  /// written, and from here on nothing may write it (see "Publication
+  /// protocol" above).
   std::shared_ptr<MscnModel> SwapModel(std::shared_ptr<MscnModel> fresh)
-      LC_EXCLUDES(swap_mu_, quant_mu_, model_mu_);
+      LC_EXCLUDES(swap_mu_);
 
-  /// The currently published model. The snapshot stays valid (and its
-  /// weights stable, absent an in-place retrain) for as long as the caller
-  /// holds it, even across SwapModel.
-  std::shared_ptr<MscnModel> model_snapshot() const { return model_.Load(); }
-
-  /// Serializes in-place weight mutation against the estimate paths. Hold
-  /// the returned lock around Trainer::ContinueTraining (or any direct
-  /// parameter write) on the published model while it is concurrently
-  /// served:
-  ///   auto guard = estimator.AcquireModelWriteLock();
-  ///   trainer.ContinueTraining(estimator.model_snapshot().get(), ...);
-  /// Cache hits do not take this lock; misses block until the writer is
-  /// done and then score with the post-retrain weights. Prefer the
-  /// zero-stall TrainClone + SwapModel path.
-  /// The guard is returned by value (guaranteed copy elision constructs it
-  /// directly in the caller's `auto guard = ...`), so the write hold spans
-  /// exactly the guard's scope and the raw mutex is never exposed.
-  WriterMutexLock AcquireModelWriteLock() LC_ACQUIRE(model_mu_) {
-    return WriterMutexLock(&model_mu_);
+  /// The currently published model. The snapshot stays valid for as long
+  /// as the caller holds it, even across SwapModel. It is published, so
+  /// the caller must not write it; TrainClone it to derive an update.
+  std::shared_ptr<MscnModel> model_snapshot() const {
+    return published_.Load()->model;
   }
 
   /// Hit/miss/eviction counters of the result cache (zeroes when the cache
@@ -201,106 +159,44 @@ class MscnEstimator : public CardinalityEstimator {
   CacheCounters cache_counters() const;
   size_t cache_capacity() const { return cache_ ? cache_->capacity() : 0; }
 
-  /// Counters of the quantized publication path (serve::Stats surfaces
-  /// them as quantized_swaps / quant_fallbacks).
-  struct QuantCounters {
-    uint64_t published = 0;  // int8 snapshots published.
-    uint64_t fallbacks = 0;  // Publications refused by the q-error gate.
-  };
-  QuantCounters quant_counters() const {
-    return {quant_published_.load(std::memory_order_relaxed),
-            quant_fallbacks_.load(std::memory_order_relaxed)};
-  }
-
-  /// Installs the quantization policy and the calibration workload the
-  /// publication gate scores candidates on, then re-publishes (or retires)
-  /// the snapshot for the currently published model. Copies the queries.
-  /// Drops the result cache so fp32-computed entries cannot mix with
-  /// int8-computed ones under one revision. Call before serving, or
-  /// whenever the calibration workload should track live traffic.
-  void ConfigureQuantization(QuantPolicy policy,
-                             std::vector<LabeledQuery> calibration)
-      LC_EXCLUDES(quant_mu_, model_mu_);
-
-  /// The current int8 snapshot, or null when none is published. May be
-  /// stale relative to the live model (revision mismatch); stale snapshots
-  /// are never served.
-  std::shared_ptr<const QuantizedMscnModel> quantized_snapshot() const
-      LC_EXCLUDES(quant_mu_) {
-    MutexLock lock(&quant_mu_);
-    return quantized_;
-  }
-
-  /// True when EstimateBatch misses would be scored on the int8 snapshot
-  /// right now (snapshot present and its revision matches the live model).
-  bool quantized_active() const {
-    const std::shared_ptr<const QuantizedMscnModel> quant =
-        quantized_snapshot();
-    return quant != nullptr &&
-           quant->source_revision() == model_.Load()->revision();
-  }
-
-  /// Drops all cached estimates. Model retraining through
-  /// Trainer::ContinueTraining or SwapModel is detected automatically
-  /// (per-entry weight revisions); call this only after mutating the model
-  /// some other way.
-  void InvalidateCache();
-
  private:
-  /// A cached estimate is valid only while the model still carries the
-  /// weight revision it was computed under.
+  /// The published model together with the version SwapModel assigned
+  /// it: one handle slot, so one Load() sees a matching pair.
+  struct Publication {
+    std::shared_ptr<MscnModel> model;
+    uint64_t version = 0;
+  };
+
+  /// A cached estimate is valid only while the publication version it was
+  /// computed under is current.
   struct CachedEstimate {
-    uint64_t revision = 0;
+    uint64_t version = 0;
     double value = 0.0;
   };
 
   /// Shared lookup behind ProbeCache (peek: count_miss=false) and the
   /// EstimateBatch miss partition (authoritative: count_miss=true).
-  /// Freshness is judged against `model`'s revision — the caller's
-  /// snapshot, so one EstimateBatch call is coherent even while a swap
-  /// lands mid-flight.
-  bool LookupFresh(const MscnModel& model, const std::string& canonical_key,
+  /// Freshness is judged against `version` — the caller's snapshot's, so
+  /// one EstimateBatch call is coherent even while a swap lands
+  /// mid-flight.
+  bool LookupFresh(uint64_t version, const std::string& canonical_key,
                    double* estimate, bool count_miss);
 
-  /// Builds, gates, and publishes (or retires) the int8 snapshot of
-  /// `model`. No-op beyond clearing the snapshot when quantization is off.
-  /// Heavy work (quantization + calibration forward passes) runs outside
-  /// quant_mu_, so serving threads loading the snapshot never stall on it.
-  void PublishQuantized(const std::shared_ptr<MscnModel>& model)
-      LC_EXCLUDES(quant_mu_, model_mu_);
-
   const Featurizer* featurizer_;
-  SwapHandle<MscnModel> model_;
+  SwapHandle<const Publication> published_;
   std::string display_name_;
   // Serving workspace, reused across calls so steady-state inference does
   // not allocate tensor storage. Makes single-query Estimate stateful: a
   // single instance must not serve concurrent Estimate calls (EstimateAll
   // and EstimateBatch use caller/shard-owned tapes and are thread-safe).
   Tape tape_;
-  // Readers hold shared around forward passes; in-place retrainers hold
-  // exclusive via AcquireModelWriteLock(). The swap path never writes
-  // published weights, so it takes neither side. Guards the *weight bytes*
-  // of whichever model is published, which is why no member carries
-  // LC_GUARDED_BY(model_mu_): the protected data lives behind model_.
-  mutable SharedMutex model_mu_;
-  // Serializes SwapModel with itself (load-advance-publish must not
-  // interleave between two swappers).
+  // Serializes SwapModel with itself (load-version-publish must not
+  // interleave between two swappers, or two publications could share a
+  // version).
   Mutex swap_mu_;
   // Keyed by the canonical query text itself (not its hash), so a hit is
   // exact by construction.
   std::unique_ptr<ShardedLruCache<std::string, CachedEstimate>> cache_;
-
-  // Quantized serving state. The snapshot is nullable (no snapshot = fp32
-  // serving), so it lives behind a plain mutex rather than a SwapHandle;
-  // loads are a pointer copy under the lock. Policy and calibration are
-  // mutated only by ConfigureQuantization.
-  mutable Mutex quant_mu_;
-  QuantPolicy quant_policy_ LC_GUARDED_BY(quant_mu_);
-  std::vector<LabeledQuery> quant_calibration_ LC_GUARDED_BY(quant_mu_);
-  std::shared_ptr<const QuantizedMscnModel> quantized_
-      LC_GUARDED_BY(quant_mu_);
-  std::atomic<uint64_t> quant_published_{0};
-  std::atomic<uint64_t> quant_fallbacks_{0};
 };
 
 }  // namespace lc

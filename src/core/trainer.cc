@@ -222,12 +222,6 @@ void Trainer::ContinueTraining(
   LC_CHECK(model->dims() == featurizer_->dims())
       << "model was trained for a different featurization";
   LC_CHECK_GT(epochs, 0);
-  // Stales any estimator result cache over `model` (entries record the
-  // revision they were computed under). If the model is concurrently
-  // served, the caller must hold MscnEstimator::AcquireModelWriteLock()
-  // around this whole call so estimate forward passes never read weights
-  // mid-update; cache hits keep flowing regardless.
-  model->BumpRevision();
   RunEpochs(model, train, validation, epochs,
             config_.seed ^ 0x1c0de5a17ULL, history);
 }
@@ -236,10 +230,8 @@ std::shared_ptr<MscnModel> Trainer::TrainClone(
     const MscnModel& base, const std::vector<const LabeledQuery*>& train,
     const std::vector<const LabeledQuery*>& validation, int epochs,
     TrainingHistory* history) {
-  // The clone starts from base's weights and revision count; the
-  // ContinueTraining below bumps its revision before touching weights, so
-  // the published clone never shares a revision with the model it
-  // replaces. No locking: the clone is private until SwapModel.
+  // The clone starts from base's weights and is private until SwapModel,
+  // so training it needs no lock and never touches `base`.
   auto clone = std::make_shared<MscnModel>(base);
   ContinueTraining(clone.get(), train, validation, epochs, history);
   return clone;

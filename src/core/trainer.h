@@ -52,22 +52,21 @@ class Trainer {
   /// an existing model on new labelled queries for `epochs` epochs without
   /// re-deriving the normalizer (its bounds stay fixed, so the encoding is
   /// unchanged; cardinalities beyond the original range are clamped).
-  /// The Adam state is fresh, as after a warm restart.
+  /// The Adam state is fresh, as after a warm restart. Writes the model's
+  /// weights, so it must never run on a model an estimator has published;
+  /// update a served model with TrainClone + MscnEstimator::SwapModel.
   void ContinueTraining(MscnModel* model,
                         const std::vector<const LabeledQuery*>& train,
                         const std::vector<const LabeledQuery*>& validation,
                         int epochs, TrainingHistory* history);
 
-  /// The copy-train-swap entry point (zero-stall retrains; see
+  /// The one way to update a served model (zero-stall retrains; see
   /// docs/ARCHITECTURE.md, "Serving"): clones `base` and runs
   /// ContinueTraining on the private clone — serving traffic against
   /// `base` continues untouched for the whole retrain, no lock required.
-  /// The returned model carries a bumped weight revision and is ready for
-  /// MscnEstimator::SwapModel, which atomically publishes it and lets
-  /// per-entry cache revisions retire the old results lazily. `base` is
-  /// copied up front, so a concurrent in-place mutation of it during the
-  /// clone-train races the copy — retrain a served model through either
-  /// this path or the write-lock path, not both at once.
+  /// The returned model is ready for MscnEstimator::SwapModel, which
+  /// publishes it under a new publication version so cached estimates of
+  /// `base` retire lazily. `base` is only read.
   std::shared_ptr<MscnModel> TrainClone(
       const MscnModel& base, const std::vector<const LabeledQuery*>& train,
       const std::vector<const LabeledQuery*>& validation, int epochs,

@@ -199,37 +199,6 @@ void AdamUpdateScalar(float* value, const float* grad, float* m, float* v,
   }
 }
 
-void GemmS8S8I32Scalar(const int8_t* a, const int8_t* b, int32_t* c,
-                       int64_t m, int64_t k, int64_t n) {
-  std::fill(c, c + m * n, 0);
-  for (int64_t i = 0; i < m; ++i) {
-    const int8_t* a_row = a + i * k;
-    int32_t* c_row = c + i * n;
-    for (int64_t p = 0; p < k; ++p) {
-      const int32_t a_ip = a_row[p];
-      if (a_ip == 0) continue;  // Quantized one-hot rows stay mostly zero.
-      const int8_t* b_row = b + p * n;
-      for (int64_t j = 0; j < n; ++j) c_row[j] += a_ip * b_row[j];
-    }
-  }
-}
-
-void DequantBiasActScalar(const int32_t* c, const float* a_scales,
-                          const float* b_scales, const float* bias,
-                          float* out, int64_t rows, int64_t cols, bool relu) {
-  for (int64_t i = 0; i < rows; ++i) {
-    const int32_t* c_row = c + i * cols;
-    float* out_row = out + i * cols;
-    const float a_scale = a_scales[i];
-    for (int64_t j = 0; j < cols; ++j) {
-      float value =
-          (static_cast<float>(c_row[j]) * a_scale) * b_scales[j] + bias[j];
-      if (relu && value < 0.0f) value = 0.0f;
-      out_row[j] = value;
-    }
-  }
-}
-
 struct ActiveKernels {
   const KernelOps* ops;
   KernelBackend backend;
@@ -251,7 +220,7 @@ ActiveKernels ResolveFromEnv() {
   if (pick == "avx512") {
     LC_CHECK(avx512 != nullptr)
         << "LC_NN_BACKEND=avx512 but AVX-512 kernels are unavailable "
-           "(not compiled in, or the CPU lacks AVX512F/AVX512BW)";
+           "(not compiled in, or the CPU lacks AVX512F)";
     return {avx512, KernelBackend::kAvx512};
   }
   // "auto" (and anything unrecognized): best available.
@@ -279,43 +248,12 @@ const char* KernelBackendName(KernelBackend backend) {
   return "unknown";
 }
 
-namespace internal {
-
-void QuantizeRowsScalar(const float* x, int8_t* q, float* scales,
-                        int64_t rows, int64_t cols) {
-  for (int64_t i = 0; i < rows; ++i) {
-    const float* x_row = x + i * cols;
-    int8_t* q_row = q + i * cols;
-    float max_abs = 0.0f;
-    for (int64_t j = 0; j < cols; ++j) {
-      max_abs = std::max(max_abs, std::fabs(x_row[j]));
-    }
-    if (max_abs == 0.0f) {
-      scales[i] = 0.0f;
-      std::fill(q_row, q_row + cols, static_cast<int8_t>(0));
-      continue;
-    }
-    const float inv = 127.0f / max_abs;
-    scales[i] = max_abs / 127.0f;
-    for (int64_t j = 0; j < cols; ++j) {
-      // nearbyintf under the default rounding mode is round-to-nearest-even,
-      // the same rounding a vectorized cvtps2dq would apply.
-      int32_t value = static_cast<int32_t>(std::nearbyintf(x_row[j] * inv));
-      value = std::min<int32_t>(127, std::max<int32_t>(-127, value));
-      q_row[j] = static_cast<int8_t>(value);
-    }
-  }
-}
-
-}  // namespace internal
-
 const KernelOps& ScalarKernelOps() {
   static const KernelOps ops = {
       GemmScalar,     GemmSparseAScalar, GemmTransAScalar, GemmTransBScalar,
       BiasAddScalar,  BiasReluScalar,    BiasReluGradScalar,
       ReluScalar,     ReluGradScalar,    AxpyScalar,
       ScaleScalar,    ColSumAccScalar,   AdamUpdateScalar,
-      internal::QuantizeRowsScalar, GemmS8S8I32Scalar, DequantBiasActScalar,
   };
   return ops;
 }
@@ -334,8 +272,7 @@ const KernelOps* Avx2KernelOps() {
 
 const KernelOps* Avx512KernelOps() {
 #if defined(LC_NN_KERNELS_AVX512)
-  static const KernelOps* ops = (__builtin_cpu_supports("avx512f") &&
-                                 __builtin_cpu_supports("avx512bw"))
+  static const KernelOps* ops = __builtin_cpu_supports("avx512f")
                                     ? internal::Avx512KernelOpsImpl()
                                     : nullptr;
   return ops;

@@ -8,9 +8,9 @@
 //   avx2    AVX2+FMA, compiled only where the toolchain supports
 //           -mavx2 -mfma (see src/nn/CMakeLists.txt) and selected at
 //           runtime only when cpuid reports both features.
-//   avx512  AVX-512 (F+BW), compiled per-file with -mavx512f -mavx512bw
-//           and selected at runtime only when cpuid reports both; 16-lane
-//           register-tiled variants of the same kernels.
+//   avx512  AVX-512F, compiled per-file with -mavx512f and selected at
+//           runtime only when cpuid reports it; 16-lane register-tiled
+//           variants of the same kernels.
 //
 // The active table is resolved once, on first use: the best available
 // backend (avx512 > avx2 > scalar), overridable with
@@ -23,11 +23,6 @@
 // versions use lane-parallel partial sums (8 for AVX2, 16 for AVX-512 — a
 // tree reassociation). tests/nn_kernels_test.cc pins both kinds of
 // divergence to within 1e-5 on activation-scaled inputs.
-//
-// The int8 family at the bottom of the table backs the quantized
-// inference-only serving path (core/quantized_model.h). Integer
-// accumulation is exact, so those kernels are bit-identical across
-// backends; only the fp32 dequantization epilogue carries rounding.
 //
 // All kernels take raw row-major float pointers. Buffers may overlap only
 // where a kernel documents in-place operation; none require alignment
@@ -107,32 +102,6 @@ struct KernelOps {
                       int64_t n, float beta1, float beta2,
                       float learning_rate, float bias1, float bias2,
                       float epsilon);
-
-  // --- int8 inference-only kernels (quantized serving path) --------------
-  // Symmetric quantization: q = round_to_nearest_even(x * (127 / maxabs)),
-  // clamped to [-127, 127], scale = maxabs / 127. Both the 127/maxabs and
-  // maxabs/127 divisions are single fp32 roundings computed identically in
-  // every backend, and the integer matmul accumulates exactly — so
-  // quantize_rows and gemm_s8s8_i32 are bit-identical across backends; the
-  // fp32 dequant epilogue is held to the usual 1e-5 parity.
-
-  /// Per-row dynamic quantization of x(rows,cols): scales[i] = per-row
-  /// maxabs / 127 (0 for an all-zero row, whose q bytes are 0).
-  void (*quantize_rows)(const float* x, int8_t* q, float* scales,
-                        int64_t rows, int64_t cols);
-
-  /// C_i32(m,n) = A_s8(m,k) * B_s8(k,n); always overwrites C. Skips zero
-  /// bytes of A (quantized one-hot/bitmap rows stay mostly zero) — exactness
-  /// of integer math makes the skip free of parity concerns.
-  void (*gemm_s8s8_i32)(const int8_t* a, const int8_t* b, int32_t* c,
-                        int64_t m, int64_t k, int64_t n);
-
-  /// out(rows,cols) = act((float)c * a_scales[i] * b_scales[j] + bias[j]),
-  /// evaluated as ((float)c * a_scales[i]) * b_scales[j] + bias[j] in every
-  /// backend; `relu` selects max(., 0) as the activation.
-  void (*dequant_bias_act)(const int32_t* c, const float* a_scales,
-                           const float* b_scales, const float* bias,
-                           float* out, int64_t rows, int64_t cols, bool relu);
 };
 
 /// The active kernel table (env override applied on first call).
@@ -147,8 +116,7 @@ const KernelOps& ScalarKernelOps();
 /// AVX2+FMA implementation, or null when the build or the CPU lacks it.
 const KernelOps* Avx2KernelOps();
 
-/// AVX-512 (F+BW) implementation, or null when the build or the CPU
-/// lacks it.
+/// AVX-512F implementation, or null when the build or the CPU lacks it.
 const KernelOps* Avx512KernelOps();
 
 /// Forces the active backend (tests / benchmarks). LC_CHECK-fails if the
@@ -160,11 +128,6 @@ namespace internal {
 const KernelOps* Avx2KernelOpsImpl();
 // Defined in kernels_avx512.cc, present only in AVX-512-capable builds.
 const KernelOps* Avx512KernelOpsImpl();
-// Shared by every backend table: the scalar quantizer is cheap relative to
-// the int8 GEMM it feeds and sharing it keeps cross-backend bit-equality
-// of the quantized operands trivially true.
-void QuantizeRowsScalar(const float* x, int8_t* q, float* scales,
-                        int64_t rows, int64_t cols);
 }  // namespace internal
 
 }  // namespace nn

@@ -348,98 +348,6 @@ void AdamUpdateAvx2(float* value, const float* grad, float* m, float* v,
   }
 }
 
-// One row of the int8 GEMM over a block of kVecs 8-column vectors held in
-// ymm accumulators across the entire k reduction, so per nonzero a[i,p]
-// only B traffic touches memory (the naive form re-loads and re-stores
-// the C row on every k step and is memory-bound). The template keeps the
-// accumulator count a compile-time constant so GCC register-allocates the
-// array instead of spilling it.
-template <int kVecs>
-void GemmS8S8RowBlock(const int8_t* a_row, const int8_t* b, int32_t* c_out,
-                      int64_t k, int64_t n, int64_t j0) {
-  __m256i acc[kVecs];
-  for (int v = 0; v < kVecs; ++v) acc[v] = _mm256_setzero_si256();
-  for (int64_t p = 0; p < k; ++p) {
-    const int32_t a_ip = a_row[p];
-    if (a_ip == 0) continue;  // Quantized one-hot rows stay mostly zero.
-    const int8_t* b_row = b + p * n + j0;
-    const __m256i av = _mm256_set1_epi32(a_ip);
-    for (int v = 0; v < kVecs; ++v) {
-      const __m128i b8 =
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b_row + v * 8));
-      acc[v] = _mm256_add_epi32(
-          acc[v], _mm256_mullo_epi32(av, _mm256_cvtepi8_epi32(b8)));
-    }
-  }
-  for (int v = 0; v < kVecs; ++v) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(c_out + v * 8), acc[v]);
-  }
-}
-
-void GemmS8S8I32Avx2(const int8_t* a, const int8_t* b, int32_t* c, int64_t m,
-                     int64_t k, int64_t n) {
-  // Integer axpy with register-resident output blocks (up to 8 vectors =
-  // 64 columns per block). Accumulation is exact integer math, so block
-  // shape and lane order are irrelevant for cross-backend parity.
-  for (int64_t i = 0; i < m; ++i) {
-    const int8_t* a_row = a + i * k;
-    int32_t* c_row = c + i * n;
-    int64_t j0 = 0;
-    while (j0 + 8 <= n) {
-      const int64_t vecs = std::min<int64_t>((n - j0) / 8, 8);
-      switch (vecs) {
-        case 8: GemmS8S8RowBlock<8>(a_row, b, c_row + j0, k, n, j0); break;
-        case 7: GemmS8S8RowBlock<7>(a_row, b, c_row + j0, k, n, j0); break;
-        case 6: GemmS8S8RowBlock<6>(a_row, b, c_row + j0, k, n, j0); break;
-        case 5: GemmS8S8RowBlock<5>(a_row, b, c_row + j0, k, n, j0); break;
-        case 4: GemmS8S8RowBlock<4>(a_row, b, c_row + j0, k, n, j0); break;
-        case 3: GemmS8S8RowBlock<3>(a_row, b, c_row + j0, k, n, j0); break;
-        case 2: GemmS8S8RowBlock<2>(a_row, b, c_row + j0, k, n, j0); break;
-        default: GemmS8S8RowBlock<1>(a_row, b, c_row + j0, k, n, j0); break;
-      }
-      j0 += vecs * 8;
-    }
-    for (int64_t j = j0; j < n; ++j) {  // Trailing < 8 columns.
-      int32_t sum = 0;
-      for (int64_t p = 0; p < k; ++p) {
-        sum += static_cast<int32_t>(a_row[p]) *
-               static_cast<int32_t>(b[p * n + j]);
-      }
-      c_row[j] = sum;
-    }
-  }
-}
-
-void DequantBiasActAvx2(const int32_t* c, const float* a_scales,
-                        const float* b_scales, const float* bias, float* out,
-                        int64_t rows, int64_t cols, bool relu) {
-  // Same evaluation order as the scalar reference: (cvt(c) * a) * b + bias
-  // with an explicit (unfused) multiply-add, then an optional max with 0.
-  const __m256 zero = _mm256_setzero_ps();
-  for (int64_t i = 0; i < rows; ++i) {
-    const int32_t* c_row = c + i * cols;
-    float* out_row = out + i * cols;
-    const float a_scale = a_scales[i];
-    const __m256 av = _mm256_set1_ps(a_scale);
-    int64_t j = 0;
-    for (; j + 8 <= cols; j += 8) {
-      const __m256 cv = _mm256_cvtepi32_ps(_mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(c_row + j)));
-      __m256 value = _mm256_mul_ps(_mm256_mul_ps(cv, av),
-                                   _mm256_loadu_ps(b_scales + j));
-      value = _mm256_add_ps(value, _mm256_loadu_ps(bias + j));
-      if (relu) value = _mm256_max_ps(value, zero);
-      _mm256_storeu_ps(out_row + j, value);
-    }
-    for (; j < cols; ++j) {
-      float value =
-          (static_cast<float>(c_row[j]) * a_scale) * b_scales[j] + bias[j];
-      if (relu && value < 0.0f) value = 0.0f;
-      out_row[j] = value;
-    }
-  }
-}
-
 }  // namespace
 
 namespace internal {
@@ -450,9 +358,6 @@ const KernelOps* Avx2KernelOpsImpl() {
       BiasAddAvx2,  BiasReluAvx2,    BiasReluGradAvx2,
       ReluAvx2,     ReluGradAvx2,    AxpyAvx2,
       ScaleAvx2,    ColSumAccAvx2,   AdamUpdateAvx2,
-      // Quantization shares the scalar row quantizer (bit-equality across
-      // backends for free); the int8 GEMM and dequant epilogue vectorize.
-      internal::QuantizeRowsScalar, GemmS8S8I32Avx2, DequantBiasActAvx2,
   };
   return &ops;
 }

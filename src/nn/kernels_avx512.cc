@@ -1,7 +1,6 @@
-// AVX-512 kernels (F+BW). This translation unit is compiled with
-// -mavx512f -mavx512bw (see src/nn/CMakeLists.txt) and must only be
-// *called* after a runtime cpuid check — Avx512KernelOps() in kernels.cc
-// guards that.
+// AVX-512F kernels. This translation unit is compiled with -mavx512f
+// (see src/nn/CMakeLists.txt) and must only be *called* after a runtime
+// cpuid check — Avx512KernelOps() in kernels.cc guards that.
 //
 // Numerics contract with the scalar backend (same as the AVX2 table): the
 // axpy-structured kernels accumulate along their reduction dimension in
@@ -416,148 +415,6 @@ void AdamUpdateAvx512(float* value, const float* grad, float* m, float* v,
   }
 }
 
-// Vectorized row quantizer, bit-identical to internal::QuantizeRowsScalar:
-// the max-abs reduction is exact (max is order-free), the per-element
-// multiply is the same IEEE mulss, and cvtps2dq applies the same
-// round-to-nearest-even that nearbyintf does under the default rounding
-// mode. The sub-16 column tail falls back to the identical scalar ops.
-void QuantizeRowsAvx512(const float* x, int8_t* q, float* scales,
-                        int64_t rows, int64_t cols) {
-  // _mm512_and_ps needs AVX512DQ; the integer AND is plain AVX512F.
-  const __m512i abs_mask = _mm512_set1_epi32(0x7fffffff);
-  for (int64_t i = 0; i < rows; ++i) {
-    const float* x_row = x + i * cols;
-    int8_t* q_row = q + i * cols;
-    __m512 vmax = _mm512_setzero_ps();
-    int64_t j = 0;
-    for (; j + 16 <= cols; j += 16) {
-      const __m512i bits =
-          _mm512_castps_si512(_mm512_loadu_ps(x_row + j));
-      vmax = _mm512_max_ps(
-          vmax, _mm512_castsi512_ps(_mm512_and_si512(abs_mask, bits)));
-    }
-    float max_abs = _mm512_reduce_max_ps(vmax);
-    for (; j < cols; ++j) {
-      max_abs = std::max(max_abs, std::fabs(x_row[j]));
-    }
-    if (max_abs == 0.0f) {
-      scales[i] = 0.0f;
-      std::fill(q_row, q_row + cols, static_cast<int8_t>(0));
-      continue;
-    }
-    const float inv = 127.0f / max_abs;
-    scales[i] = max_abs / 127.0f;
-    const __m512 vinv = _mm512_set1_ps(inv);
-    const __m512i lo = _mm512_set1_epi32(-127);
-    const __m512i hi = _mm512_set1_epi32(127);
-    j = 0;
-    for (; j + 16 <= cols; j += 16) {
-      const __m512i value =
-          _mm512_cvtps_epi32(_mm512_mul_ps(_mm512_loadu_ps(x_row + j), vinv));
-      const __m512i clamped =
-          _mm512_min_epi32(hi, _mm512_max_epi32(lo, value));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(q_row + j),
-                       _mm512_cvtepi32_epi8(clamped));
-    }
-    for (; j < cols; ++j) {
-      int32_t value = static_cast<int32_t>(std::nearbyintf(x_row[j] * inv));
-      value = std::min<int32_t>(127, std::max<int32_t>(-127, value));
-      q_row[j] = static_cast<int8_t>(value);
-    }
-  }
-}
-
-// One row of the int8 GEMM over a block of kVecs 16-column vectors: the
-// output block lives in zmm accumulators across the entire k reduction,
-// so per nonzero a[i,p] only B traffic touches memory (the naive form
-// re-loads and re-stores the C row on every k step and is memory-bound).
-// The template keeps the accumulator count a compile-time constant so GCC
-// register-allocates the array instead of spilling it.
-template <int kVecs>
-void GemmS8S8RowBlock(const int8_t* a_row, const int8_t* b, int32_t* c_out,
-                      int64_t k, int64_t n, int64_t j0) {
-  __m512i acc[kVecs];
-  for (int v = 0; v < kVecs; ++v) acc[v] = _mm512_setzero_si512();
-  for (int64_t p = 0; p < k; ++p) {
-    const int32_t a_ip = a_row[p];
-    if (a_ip == 0) continue;  // Quantized one-hot rows stay mostly zero.
-    const int8_t* b_row = b + p * n + j0;
-    const __m512i av = _mm512_set1_epi32(a_ip);
-    for (int v = 0; v < kVecs; ++v) {
-      const __m128i b8 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(b_row + v * 16));
-      acc[v] = _mm512_add_epi32(
-          acc[v], _mm512_mullo_epi32(av, _mm512_cvtepi8_epi32(b8)));
-    }
-  }
-  for (int v = 0; v < kVecs; ++v) {
-    _mm512_storeu_si512(c_out + v * 16, acc[v]);
-  }
-}
-
-void GemmS8S8I32Avx512(const int8_t* a, const int8_t* b, int32_t* c,
-                       int64_t m, int64_t k, int64_t n) {
-  // Integer axpy with register-resident output blocks (up to 8 vectors =
-  // 128 columns per block). Accumulation is exact integer math, so block
-  // shape and lane order are irrelevant for cross-backend parity.
-  for (int64_t i = 0; i < m; ++i) {
-    const int8_t* a_row = a + i * k;
-    int32_t* c_row = c + i * n;
-    int64_t j0 = 0;
-    while (j0 + 16 <= n) {
-      const int64_t vecs = std::min<int64_t>((n - j0) / 16, 8);
-      switch (vecs) {
-        case 8: GemmS8S8RowBlock<8>(a_row, b, c_row + j0, k, n, j0); break;
-        case 7: GemmS8S8RowBlock<7>(a_row, b, c_row + j0, k, n, j0); break;
-        case 6: GemmS8S8RowBlock<6>(a_row, b, c_row + j0, k, n, j0); break;
-        case 5: GemmS8S8RowBlock<5>(a_row, b, c_row + j0, k, n, j0); break;
-        case 4: GemmS8S8RowBlock<4>(a_row, b, c_row + j0, k, n, j0); break;
-        case 3: GemmS8S8RowBlock<3>(a_row, b, c_row + j0, k, n, j0); break;
-        case 2: GemmS8S8RowBlock<2>(a_row, b, c_row + j0, k, n, j0); break;
-        default: GemmS8S8RowBlock<1>(a_row, b, c_row + j0, k, n, j0); break;
-      }
-      j0 += vecs * 16;
-    }
-    for (int64_t j = j0; j < n; ++j) {  // Trailing < 16 columns.
-      int32_t sum = 0;
-      for (int64_t p = 0; p < k; ++p) {
-        sum += static_cast<int32_t>(a_row[p]) *
-               static_cast<int32_t>(b[p * n + j]);
-      }
-      c_row[j] = sum;
-    }
-  }
-}
-
-void DequantBiasActAvx512(const int32_t* c, const float* a_scales,
-                          const float* b_scales, const float* bias,
-                          float* out, int64_t rows, int64_t cols, bool relu) {
-  // Same evaluation order as the scalar reference: (cvt(c) * a) * b + bias
-  // with an explicit (unfused) multiply-add, then an optional max with 0.
-  const __m512 zero = _mm512_setzero_ps();
-  for (int64_t i = 0; i < rows; ++i) {
-    const int32_t* c_row = c + i * cols;
-    float* out_row = out + i * cols;
-    const float a_scale = a_scales[i];
-    const __m512 av = _mm512_set1_ps(a_scale);
-    int64_t j = 0;
-    for (; j + 16 <= cols; j += 16) {
-      const __m512 cv = _mm512_cvtepi32_ps(_mm512_loadu_si512(c_row + j));
-      __m512 value = _mm512_mul_ps(_mm512_mul_ps(cv, av),
-                                   _mm512_loadu_ps(b_scales + j));
-      value = _mm512_add_ps(value, _mm512_loadu_ps(bias + j));
-      if (relu) value = _mm512_max_ps(value, zero);
-      _mm512_storeu_ps(out_row + j, value);
-    }
-    for (; j < cols; ++j) {
-      float value =
-          (static_cast<float>(c_row[j]) * a_scale) * b_scales[j] + bias[j];
-      if (relu && value < 0.0f) value = 0.0f;
-      out_row[j] = value;
-    }
-  }
-}
-
 }  // namespace
 
 namespace internal {
@@ -568,9 +425,6 @@ const KernelOps* Avx512KernelOpsImpl() {
       BiasAddAvx512,  BiasReluAvx512,    BiasReluGradAvx512,
       ReluAvx512,     ReluGradAvx512,    AxpyAvx512,
       ScaleAvx512,    ColSumAccAvx512,   AdamUpdateAvx512,
-      // All three int8 kernels vectorize; QuantizeRowsAvx512 documents why
-      // it stays bit-identical to the scalar quantizer.
-      QuantizeRowsAvx512, GemmS8S8I32Avx512, DequantBiasActAvx512,
   };
   return &ops;
 }

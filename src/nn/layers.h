@@ -77,12 +77,6 @@ class TwoLayerMlp {
 
   std::vector<Parameter*> parameters();
 
-  /// Read access to the individual layers; the quantized serving path
-  /// (core/quantized_model.h) snapshots their weights at publication time.
-  const Linear& first() const { return first_; }
-  const Linear& second() const { return second_; }
-  OutputActivation activation() const { return activation_; }
-
   size_t ByteSize() const;
   void Save(BinaryWriter* writer) const;
   Status Load(BinaryReader* reader);

@@ -2,16 +2,12 @@
 
 #include <errno.h>
 #include <fcntl.h>
-#include <poll.h>
 #include <string.h>
+#include <sys/epoll.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <utility>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#endif
 
 #include "util/check.h"
 #include "util/str.h"
@@ -26,137 +22,6 @@ Status ErrnoStatus(const char* what) {
   return Status::IoError(Format("%s: %s", what, strerror(errno)));
 }
 
-#if defined(__linux__)
-
-class EpollPoller : public Poller {
- public:
-  EpollPoller() : epoll_fd_(epoll_create1(EPOLL_CLOEXEC)) {
-    LC_CHECK_GE(epoll_fd_, 0) << "epoll_create1: " << strerror(errno);
-  }
-  ~EpollPoller() override { close(epoll_fd_); }
-
-  Status Add(int fd, bool want_read, bool want_write) override {
-    return Control(EPOLL_CTL_ADD, fd, want_read, want_write);
-  }
-  Status Update(int fd, bool want_read, bool want_write) override {
-    return Control(EPOLL_CTL_MOD, fd, want_read, want_write);
-  }
-  void Remove(int fd) override {
-    (void)epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
-
-  int Wait(int timeout_ms, std::vector<PollEvent>* events) override {
-    epoll_event ready[128];
-    int n;
-    do {
-      n = epoll_wait(epoll_fd_, ready, 128, timeout_ms);
-    } while (n < 0 && errno == EINTR);
-    LC_CHECK_GE(n, 0) << "epoll_wait: " << strerror(errno);
-    for (int i = 0; i < n; ++i) {
-      PollEvent event;
-      event.fd = ready[i].data.fd;
-      event.readable = (ready[i].events & EPOLLIN) != 0;
-      event.writable = (ready[i].events & EPOLLOUT) != 0;
-      event.error = (ready[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-      events->push_back(event);
-    }
-    return n;
-  }
-
-  const char* name() const override { return "epoll"; }
-
- private:
-  Status Control(int op, int fd, bool want_read, bool want_write) {
-    epoll_event event;
-    memset(&event, 0, sizeof(event));
-    event.data.fd = fd;
-    if (want_read) event.events |= EPOLLIN;
-    if (want_write) event.events |= EPOLLOUT;
-    if (epoll_ctl(epoll_fd_, op, fd, &event) != 0) {
-      return ErrnoStatus("epoll_ctl");
-    }
-    return Status::OK();
-  }
-
-  int epoll_fd_;
-};
-
-#endif  // defined(__linux__)
-
-// Portable fallback: a dense pollfd array rebuilt in place on every change.
-// O(watched fds) per wait, fine for the fd counts tests and the fallback
-// path care about; the production path on Linux is epoll.
-class PollPoller : public Poller {
- public:
-  Status Add(int fd, bool want_read, bool want_write) override {
-    if (index_.count(fd) != 0) {
-      return Status::InvalidArgument(Format("fd %d already watched", fd));
-    }
-    pollfd entry;
-    entry.fd = fd;
-    entry.events = Events(want_read, want_write);
-    entry.revents = 0;
-    index_[fd] = fds_.size();
-    fds_.push_back(entry);
-    return Status::OK();
-  }
-
-  Status Update(int fd, bool want_read, bool want_write) override {
-    auto it = index_.find(fd);
-    if (it == index_.end()) {
-      return Status::InvalidArgument(Format("fd %d not watched", fd));
-    }
-    fds_[it->second].events = Events(want_read, want_write);
-    return Status::OK();
-  }
-
-  void Remove(int fd) override {
-    auto it = index_.find(fd);
-    if (it == index_.end()) return;
-    const size_t slot = it->second;
-    index_.erase(it);
-    if (slot + 1 != fds_.size()) {
-      fds_[slot] = fds_.back();
-      index_[fds_[slot].fd] = slot;
-    }
-    fds_.pop_back();
-  }
-
-  int Wait(int timeout_ms, std::vector<PollEvent>* events) override {
-    int n;
-    do {
-      n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    } while (n < 0 && errno == EINTR);
-    LC_CHECK_GE(n, 0) << "poll: " << strerror(errno);
-    if (n == 0) return 0;
-    int reported = 0;
-    for (const pollfd& entry : fds_) {
-      if (entry.revents == 0) continue;
-      PollEvent event;
-      event.fd = entry.fd;
-      event.readable = (entry.revents & POLLIN) != 0;
-      event.writable = (entry.revents & POLLOUT) != 0;
-      event.error = (entry.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      events->push_back(event);
-      if (++reported == n) break;
-    }
-    return reported;
-  }
-
-  const char* name() const override { return "poll"; }
-
- private:
-  static short Events(bool want_read, bool want_write) {
-    short events = 0;
-    if (want_read) events |= POLLIN;
-    if (want_write) events |= POLLOUT;
-    return events;
-  }
-
-  std::vector<pollfd> fds_;
-  std::unordered_map<int, size_t> index_;
-};
-
 void SetNonBlockingCloexec(int fd) {
   int flags = fcntl(fd, F_GETFL, 0);
   LC_CHECK_GE(flags, 0);
@@ -168,17 +33,56 @@ void SetNonBlockingCloexec(int fd) {
 
 }  // namespace
 
-std::unique_ptr<Poller> Poller::Create(const std::string& backend) {
-#if defined(__linux__)
-  if (backend != "poll") return std::make_unique<EpollPoller>();
-#else
-  (void)backend;
-#endif
-  return std::make_unique<PollPoller>();
+EpollPoller::EpollPoller() : epoll_fd_(epoll_create1(EPOLL_CLOEXEC)) {
+  LC_CHECK_GE(epoll_fd_, 0) << "epoll_create1: " << strerror(errno);
 }
 
-EventLoop::EventLoop(std::unique_ptr<Poller> poller)
-    : poller_(std::move(poller)) {
+EpollPoller::~EpollPoller() { close(epoll_fd_); }
+
+Status EpollPoller::Add(int fd, bool want_read, bool want_write) {
+  return Control(EPOLL_CTL_ADD, fd, want_read, want_write);
+}
+
+Status EpollPoller::Update(int fd, bool want_read, bool want_write) {
+  return Control(EPOLL_CTL_MOD, fd, want_read, want_write);
+}
+
+void EpollPoller::Remove(int fd) {
+  (void)epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+}
+
+int EpollPoller::Wait(int timeout_ms, std::vector<PollEvent>* events) {
+  epoll_event ready[128];
+  int n;
+  do {
+    n = epoll_wait(epoll_fd_, ready, 128, timeout_ms);
+  } while (n < 0 && errno == EINTR);
+  LC_CHECK_GE(n, 0) << "epoll_wait: " << strerror(errno);
+  for (int i = 0; i < n; ++i) {
+    PollEvent event;
+    event.fd = ready[i].data.fd;
+    event.readable = (ready[i].events & EPOLLIN) != 0;
+    event.writable = (ready[i].events & EPOLLOUT) != 0;
+    event.error = (ready[i].events & (EPOLLERR | EPOLLHUP)) != 0;
+    events->push_back(event);
+  }
+  return n;
+}
+
+Status EpollPoller::Control(int op, int fd, bool want_read,
+                            bool want_write) {
+  epoll_event event;
+  memset(&event, 0, sizeof(event));
+  event.data.fd = fd;
+  if (want_read) event.events |= EPOLLIN;
+  if (want_write) event.events |= EPOLLOUT;
+  if (epoll_ctl(epoll_fd_, op, fd, &event) != 0) {
+    return ErrnoStatus("epoll_ctl");
+  }
+  return Status::OK();
+}
+
+EventLoop::EventLoop() {
   int pipe_fds[2];
   LC_CHECK_EQ(pipe(pipe_fds), 0) << "pipe: " << strerror(errno);
   wakeup_read_fd_ = pipe_fds[0];
@@ -203,19 +107,19 @@ EventLoop::~EventLoop() {
 Status EventLoop::Watch(int fd, bool want_read, bool want_write,
                         FdHandler handler) {
   AssertOnLoopThread();
-  LC_RETURN_IF_ERROR(poller_->Add(fd, want_read, want_write));
+  LC_RETURN_IF_ERROR(poller_.Add(fd, want_read, want_write));
   handlers_[fd] = std::move(handler);
   return Status::OK();
 }
 
 Status EventLoop::Update(int fd, bool want_read, bool want_write) {
   AssertOnLoopThread();
-  return poller_->Update(fd, want_read, want_write);
+  return poller_.Update(fd, want_read, want_write);
 }
 
 void EventLoop::Unwatch(int fd) {
   AssertOnLoopThread();
-  poller_->Remove(fd);
+  poller_.Remove(fd);
   handlers_.erase(fd);
 }
 
@@ -290,7 +194,7 @@ void EventLoop::Run() {
     RunDueTimers();
     if (stop_.load(std::memory_order_acquire)) break;
     events.clear();
-    poller_->Wait(NextTimerTimeoutMs(), &events);
+    poller_.Wait(NextTimerTimeoutMs(), &events);
     for (const PollEvent& event : events) {
       // The handler for an earlier event in this batch may have closed and
       // unwatched a later fd; skip stale reports.

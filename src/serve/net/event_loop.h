@@ -13,9 +13,8 @@
 // leans on that to prove every handed-off fd is registered before its
 // loop's drain snapshot is taken.
 //
-// The readiness backend is pluggable: epoll(7) on Linux (the default) and a
-// portable poll(2) implementation, selected by LC_SERVE_EVENT_BACKEND. Both
-// are level-triggered, so a handler that leaves bytes unread simply gets
+// The readiness backend is epoll(7) (the system is Linux-only), used
+// level-triggered, so a handler that leaves bytes unread simply gets
 // called again — the write-backpressure "pause reads" state machine in
 // Connection relies on this.
 
@@ -26,9 +25,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
-#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -41,7 +38,7 @@ namespace lc {
 namespace serve {
 namespace net {
 
-/// One readiness report from Poller::Wait.
+/// One readiness report from EpollPoller::Wait.
 struct PollEvent {
   int fd = -1;
   bool readable = false;
@@ -51,30 +48,33 @@ struct PollEvent {
   bool error = false;
 };
 
-/// Level-triggered readiness backend (epoll or poll).
-class Poller {
+/// Level-triggered epoll(7) readiness backend; one per EventLoop.
+class EpollPoller {
  public:
-  virtual ~Poller() = default;
+  EpollPoller();
+  ~EpollPoller();
 
-  /// "epoll" (Linux only) or "poll"; any other name falls back to the
-  /// platform default ("epoll" on Linux, "poll" elsewhere).
-  static std::unique_ptr<Poller> Create(const std::string& backend);
+  EpollPoller(const EpollPoller&) = delete;
+  EpollPoller& operator=(const EpollPoller&) = delete;
 
-  virtual Status Add(int fd, bool want_read, bool want_write) = 0;
-  virtual Status Update(int fd, bool want_read, bool want_write) = 0;
-  virtual void Remove(int fd) = 0;
+  Status Add(int fd, bool want_read, bool want_write);
+  Status Update(int fd, bool want_read, bool want_write);
+  void Remove(int fd);
 
   /// Blocks up to `timeout_ms` (-1 = forever, 0 = poll) and appends every
   /// ready fd to `*events`. Returns the number of ready fds (0 on timeout);
   /// EINTR is retried internally.
-  virtual int Wait(int timeout_ms, std::vector<PollEvent>* events) = 0;
+  int Wait(int timeout_ms, std::vector<PollEvent>* events);
 
-  virtual const char* name() const = 0;
+ private:
+  Status Control(int op, int fd, bool want_read, bool want_write);
+
+  int epoll_fd_;
 };
 
 class EventLoop {
  public:
-  explicit EventLoop(std::unique_ptr<Poller> poller);
+  EventLoop();
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -118,8 +118,6 @@ class EventLoop {
   /// compile it down to one relaxed atomic load.
   void AssertOnLoopThread() const;
 
-  Poller* poller() { return poller_.get(); }
-
  private:
   struct Timer {
     std::chrono::steady_clock::time_point when;
@@ -135,7 +133,7 @@ class EventLoop {
   int NextTimerTimeoutMs() const;
   void RunDueTimers();
 
-  std::unique_ptr<Poller> poller_;
+  EpollPoller poller_;
   int wakeup_read_fd_ = -1;
   int wakeup_write_fd_ = -1;
 

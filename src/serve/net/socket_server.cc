@@ -79,7 +79,6 @@ SocketServerConfig SocketServerConfig::FromEnv() {
   config.write_high_water = static_cast<size_t>(std::max<int64_t>(
       1024, GetEnvInt("LC_SERVE_WRITE_BUFFER",
                       static_cast<int64_t>(config.write_high_water))));
-  config.backend = GetEnvString("LC_SERVE_EVENT_BACKEND", "");
   config.drain_timeout_ms = std::max<int64_t>(
       100, GetEnvInt("LC_SERVE_DRAIN_TIMEOUT_MS", config.drain_timeout_ms));
   return config;
@@ -111,7 +110,7 @@ Status SocketServer::Start() {
   for (int i = 0; i < loops_; ++i) {
     auto shard = std::make_unique<LoopShard>();
     shard->index = i;
-    shard->loop = std::make_shared<EventLoop>(Poller::Create(config_.backend));
+    shard->loop = std::make_shared<EventLoop>();
     shards_.push_back(std::move(shard));
   }
 
@@ -188,8 +187,8 @@ Status SocketServer::Start() {
   ArmStatsTimer();
   for (const Endpoint& endpoint : resolved_) {
     LC_LOG(INFO) << "serving line protocol on " << endpoint.ToString()
-                 << " (" << shards_[0]->loop->poller()->name() << ", "
-                 << loops_ << (loops_ == 1 ? " loop)" : " loops)");
+                 << " (epoll, " << loops_
+                 << (loops_ == 1 ? " loop)" : " loops)");
   }
   for (const std::unique_ptr<LoopShard>& shard : shards_) {
     EventLoop* loop = shard->loop.get();

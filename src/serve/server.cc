@@ -219,8 +219,7 @@ std::string EstimatorServer::FormatStatsLine() {
   return lc::Format(
       "received=%llu served=%llu cache_hits=%llu rejected=%llu "
       "batches=%llu retrains=%llu swaps=%llu retrain_failures=%llu "
-      "stale_retirements=%llu quantized_swaps=%llu quant_fallbacks=%llu "
-      "retrain_in_flight=%d",
+      "stale_retirements=%llu retrain_in_flight=%d",
       static_cast<unsigned long long>(stats.received),
       static_cast<unsigned long long>(stats.served),
       static_cast<unsigned long long>(stats.admission_cache_hits),
@@ -232,8 +231,6 @@ std::string EstimatorServer::FormatStatsLine() {
       static_cast<unsigned long long>(stats.model_swaps),
       static_cast<unsigned long long>(stats.retrains_failed),
       static_cast<unsigned long long>(stats.stale_retirements),
-      static_cast<unsigned long long>(stats.quantized_swaps),
-      static_cast<unsigned long long>(stats.quant_fallbacks),
       retrain_in_flight() ? 1 : 0);
 }
 
@@ -407,9 +404,6 @@ Stats EstimatorServer::GetStats() const {
   stats.retrains_failed = retrains_failed_.load(std::memory_order_relaxed);
   stats.model_swaps = model_swaps_.load(std::memory_order_relaxed);
   stats.stale_retirements = estimator_->cache_counters().invalidations;
-  const MscnEstimator::QuantCounters quant = estimator_->quant_counters();
-  stats.quantized_swaps = quant.published;
-  stats.quant_fallbacks = quant.fallbacks;
   stats.served = stats.admission_cache_hits;
   for (const auto& lane : lane_stats_) {
     MutexLock lock(&lane->mu);

@@ -103,15 +103,10 @@ struct Stats {
   uint64_t retrains_started = 0;    // Background retrains kicked off.
   uint64_t retrains_failed = 0;     // Retrain hook returned non-OK.
   uint64_t model_swaps = 0;         // Completed copy-train-swap updates.
-  // Stale cache entries retired lazily by lookups after a swap or
-  // in-place retrain (the estimator cache's invalidation counter — the
+  // Cache entries of superseded publications retired lazily by lookups
+  // after a swap (the estimator cache's invalidation counter — the
   // observable proof that invalidation is per-entry, not a global wipe).
   uint64_t stale_retirements = 0;
-  // Int8 serving-path publication outcomes (the estimator's quant
-  // counters, populated only when LC_NN_QUANT=int8): snapshots published
-  // at swap time vs. publications refused by the q-error gate.
-  uint64_t quantized_swaps = 0;
-  uint64_t quant_fallbacks = 0;
   RunningStat batch_size;           // Requests per model batch.
   RunningStat queue_wait_us;        // Admission → lane pop.
   RunningStat service_latency_us;   // Admission → reply (lane-served only).

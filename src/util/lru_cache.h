@@ -79,7 +79,7 @@ class ShardedLruCache {
   /// lookup counts as a miss plus an invalidation — the `invalidations`
   /// counter is how lazy stale-entry retirement is observable (capacity
   /// evictions are counted separately). Used by the estimator cache to
-  /// retire estimates of a superseded model weight revision atomically
+  /// retire estimates of a superseded model publication atomically
   /// with the lookup that discovers them. `count_miss=false` makes the
   /// lookup a peek: hits (and stale evictions) still count, but an absent
   /// or stale key does not inflate the miss counter — for probe-then-
@@ -125,15 +125,6 @@ class ShardedLruCache {
       shard.index.erase(shard.order.back().first);
       shard.order.pop_back();
       evictions_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  /// Drops every entry (counters are kept).
-  void Clear() {
-    for (auto& shard : shards_) {
-      MutexLock lock(&shard->mu);
-      shard->index.clear();
-      shard->order.clear();
     }
   }
 

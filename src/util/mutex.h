@@ -1,5 +1,5 @@
 // Annotated synchronization primitives: thin zero-overhead wrappers over
-// std::mutex / std::shared_mutex / std::condition_variable that carry the
+// std::mutex / std::condition_variable that carry the
 // Clang Thread Safety Analysis attributes from util/thread_annotations.h,
 // so `-Wthread-safety -Werror` can prove the repo's lock discipline at
 // compile time (which mutex guards which field, which functions require a
@@ -7,9 +7,11 @@
 //
 // This header is the ONLY place in src/ allowed to name the std::
 // synchronization types — tools/lint_invariants.py enforces that every
-// other file uses lc::Mutex / lc::MutexLock / lc::SharedMutex /
-// lc::CondVar, because a raw std::mutex member is invisible to the
-// analysis and silently punches a hole in the proofs.
+// other file uses lc::Mutex / lc::MutexLock / lc::CondVar, because a raw
+// std::mutex member is invisible to the analysis and silently punches a
+// hole in the proofs. There is deliberately no reader/writer lock: no
+// reader needs one (a published model is immutable and swapped, not
+// written; see core/mscn_estimator.h).
 //
 // API shape follows Abseil's Mutex (Lock/Unlock/MutexLock(&mu)) rather
 // than the standard library's (lock_guard<mutex>), because the analysis
@@ -22,7 +24,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "util/thread_annotations.h"
 
@@ -54,28 +55,6 @@ class LC_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// std::shared_mutex with capability annotations: exclusive (writer) and
-/// shared (reader) modes.
-class LC_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() LC_ACQUIRE() { mu_.lock(); }
-  void Unlock() LC_RELEASE() { mu_.unlock(); }
-  bool TryLock() LC_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
-  void LockShared() LC_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void UnlockShared() LC_RELEASE_SHARED() { mu_.unlock_shared(); }
-  bool TryLockShared() LC_TRY_ACQUIRE_SHARED(true) {
-    return mu_.try_lock_shared();
-  }
-
- private:
-  std::shared_mutex mu_;
-};
-
 /// RAII exclusive hold on a Mutex for the current scope.
 class LC_SCOPED_CAPABILITY MutexLock {
  public:
@@ -87,39 +66,6 @@ class LC_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* const mu_;
-};
-
-/// RAII shared (reader) hold on a SharedMutex.
-class LC_SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex* mu) LC_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_->LockShared();
-  }
-  ~ReaderMutexLock() LC_RELEASE_GENERIC() { mu_->UnlockShared(); }
-
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex* const mu_;
-};
-
-/// RAII exclusive (writer) hold on a SharedMutex. Constructible in a
-/// `return` statement and bindable with `auto guard = ...` (guaranteed
-/// copy elision), which is how MscnEstimator::AcquireModelWriteLock hands
-/// a write hold across an API boundary without exposing the raw mutex.
-class LC_SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex* mu) LC_ACQUIRE(mu) : mu_(mu) {
-    mu_->Lock();
-  }
-  ~WriterMutexLock() LC_RELEASE_GENERIC() { mu_->Unlock(); }
-
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex* const mu_;
 };
 
 /// Condition variable bound to lc::Mutex. Waits REQUIRE the mutex held —

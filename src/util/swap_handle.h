@@ -8,6 +8,12 @@
 // pointer exchange under a mutex held for nanoseconds, not for the
 // duration of the (possibly multi-second) rebuild.
 //
+// The handle synchronizes the pointer, not the object: a published object
+// must not be written while any snapshot of it may be live. Updates build
+// a new object and Swap() it in. Anything that must be read consistently
+// with the object (MscnEstimator's publication version, for one) belongs
+// in the same slot, so one Load() returns both.
+//
 // This is deliberately a mutex around a shared_ptr rather than
 // std::atomic<std::shared_ptr<T>>: the critical section is two refcount
 // operations, contention is negligible next to the per-request work of

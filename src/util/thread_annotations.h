@@ -72,40 +72,19 @@
 #define LC_REQUIRES(...) \
   LC_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
 
-/// Caller must hold `...` at least in shared (reader) mode.
-#define LC_REQUIRES_SHARED(...) \
-  LC_THREAD_ANNOTATION_(requires_shared_capability(__VA_ARGS__))
-
 /// The function acquires the capability exclusively and does not release it
 /// before returning (Mutex::Lock, MutexLock's constructor).
 #define LC_ACQUIRE(...) \
   LC_THREAD_ANNOTATION_(acquire_capability(__VA_ARGS__))
 
-/// Shared-mode (reader) counterpart of LC_ACQUIRE.
-#define LC_ACQUIRE_SHARED(...) \
-  LC_THREAD_ANNOTATION_(acquire_shared_capability(__VA_ARGS__))
-
 /// The function releases an exclusively held capability.
 #define LC_RELEASE(...) \
   LC_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
-
-/// The function releases a shared-held capability.
-#define LC_RELEASE_SHARED(...) \
-  LC_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
-
-/// The function releases a capability held in either mode (the destructor
-/// of a scoped guard that may wrap a reader or a writer hold).
-#define LC_RELEASE_GENERIC(...) \
-  LC_THREAD_ANNOTATION_(release_generic_capability(__VA_ARGS__))
 
 /// The function attempts the acquisition; `b` is the return value meaning
 /// "acquired" (Mutex::TryLock returns true on success).
 #define LC_TRY_ACQUIRE(...) \
   LC_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
-
-/// Shared-mode counterpart of LC_TRY_ACQUIRE.
-#define LC_TRY_ACQUIRE_SHARED(...) \
-  LC_THREAD_ANNOTATION_(try_acquire_shared_capability(__VA_ARGS__))
 
 /// Caller must NOT hold `...` (the function acquires it itself; catches
 /// self-deadlock on non-recursive mutexes at compile time).

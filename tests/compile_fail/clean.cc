@@ -28,23 +28,6 @@ class Account {
   mutable lc::Mutex mu_;
   long balance_ LC_GUARDED_BY(mu_) = 0;
 };
-
-class Model {
- public:
-  double Read() const LC_EXCLUDES(mu_) {
-    lc::ReaderMutexLock lock(&mu_);
-    return weights_;
-  }
-
-  void Retrain() LC_EXCLUDES(mu_) {
-    lc::WriterMutexLock lock(&mu_);
-    weights_ += 1.0;
-  }
-
- private:
-  mutable lc::SharedMutex mu_;
-  double weights_ LC_GUARDED_BY(mu_) = 0.0;
-};
 }  // namespace
 
 void Use() {
@@ -52,7 +35,4 @@ void Use() {
   account.Deposit(1);
   (void)account.balance();
   (void)account.Sum();
-  Model model;
-  (void)model.Read();
-  model.Retrain();
 }

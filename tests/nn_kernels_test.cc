@@ -1,23 +1,19 @@
 // Kernel backend tests: SIMD-vs-scalar parity as a backend matrix (the
 // same randomized-shape suite runs against every vector backend the build
 // and CPU provide — AVX2 and AVX-512 — skipping cleanly where cpuid says
-// no), backend dispatch, the int8 quantized kernel family, the aligned
-// reusable-capacity Tensor contract, and tape workspace reuse.
+// no), backend dispatch, the aligned reusable-capacity Tensor contract,
+// and tape workspace reuse.
 //
 // Parity tolerance is 1e-5 via Tensor::MaxAbsDiff: the axpy-structured
 // kernels share accumulation order with the scalar reference in every
 // backend (FMA rounding is their only divergence), while gemm_trans_b's
 // dot products reassociate through lane partials (8 for AVX2, 16 for
 // AVX-512) — inputs are scaled like activations (stddev 1/sqrt(reduction))
-// so both stay well inside the bound. The int8 GEMM path is exact by
-// construction (integer accumulation has no rounding), so quantize_rows
-// and gemm_s8s8_i32 assert bit-equality across backends; only the fp32
-// dequant epilogue gets the 1e-5 allowance.
+// so both stay well inside the bound.
 
 #include "nn/kernels.h"
 
 #include <cmath>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -253,91 +249,6 @@ TEST_P(KernelParityTest, AdamUpdateMatchesScalar) {
     EXPECT_LT(value_b.MaxAbsDiff(value_a), kParityTol);
     EXPECT_LT(m_b.MaxAbsDiff(m_a), kParityTol);
     EXPECT_LT(v_b.MaxAbsDiff(v_a), kParityTol);
-  }
-}
-
-// The int8 quantized family. quantize_rows and gemm_s8s8_i32 are exact
-// computations (round-to-nearest-even to an int8 grid, then pure integer
-// accumulation), so SIMD must agree with scalar to the bit; only the
-// dequant epilogue, which is fp32, gets the usual tolerance.
-TEST_P(KernelParityTest, Int8KernelsMatchScalar) {
-  const KernelOps& scalar = ScalarKernelOps();
-  Rng rng(29);
-  for (const GemmShape& s : kShapes) {
-    Tensor a = RandomMatrix(s.m, s.k, s.k, &rng);
-    Sparsify(&a, &rng);  // Quantized one-hot rows keep their zeros.
-    const Tensor b_fp = RandomMatrix(s.k, s.n, s.k, &rng);
-
-    // quantize_rows: bit-identical activations and scales.
-    std::vector<int8_t> qa_want(static_cast<size_t>(s.m * s.k));
-    std::vector<int8_t> qa_got(qa_want.size());
-    std::vector<float> sa_want(static_cast<size_t>(s.m));
-    std::vector<float> sa_got(sa_want.size());
-    scalar.quantize_rows(a.data(), qa_want.data(), sa_want.data(), s.m, s.k);
-    simd().quantize_rows(a.data(), qa_got.data(), sa_got.data(), s.m, s.k);
-    EXPECT_EQ(0, std::memcmp(qa_want.data(), qa_got.data(), qa_want.size()))
-        << "quantize_rows values " << s.m << "x" << s.k;
-    EXPECT_EQ(0, std::memcmp(sa_want.data(), sa_got.data(),
-                             sa_want.size() * sizeof(float)))
-        << "quantize_rows scales " << s.m << "x" << s.k;
-
-    // Weight-style per-column quantization of b for the GEMM operand.
-    std::vector<int8_t> qb(static_cast<size_t>(s.k * s.n));
-    std::vector<float> sb(static_cast<size_t>(s.n));
-    for (int64_t j = 0; j < s.n; ++j) {
-      float max_abs = 0.0f;
-      for (int64_t i = 0; i < s.k; ++i) {
-        max_abs = std::max(max_abs, std::fabs(b_fp[i * s.n + j]));
-      }
-      sb[static_cast<size_t>(j)] = max_abs > 0.0f ? max_abs / 127.0f : 0.0f;
-      const float inv = max_abs > 0.0f ? 127.0f / max_abs : 0.0f;
-      for (int64_t i = 0; i < s.k; ++i) {
-        int32_t v = static_cast<int32_t>(
-            std::nearbyintf(b_fp[i * s.n + j] * inv));
-        qb[static_cast<size_t>(i * s.n + j)] =
-            static_cast<int8_t>(std::min(127, std::max(-127, v)));
-      }
-    }
-
-    // gemm_s8s8_i32: integer accumulation, exact across backends.
-    std::vector<int32_t> acc_want(static_cast<size_t>(s.m * s.n));
-    std::vector<int32_t> acc_got(acc_want.size());
-    scalar.gemm_s8s8_i32(qa_want.data(), qb.data(), acc_want.data(), s.m,
-                         s.k, s.n);
-    simd().gemm_s8s8_i32(qa_want.data(), qb.data(), acc_got.data(), s.m,
-                         s.k, s.n);
-    EXPECT_EQ(acc_want, acc_got)
-        << "gemm_s8s8_i32 " << s.m << "x" << s.k << "x" << s.n;
-
-    // dequant_bias_act: fp32 epilogue, 1e-5 like the other fp32 kernels.
-    const Tensor bias = Tensor::Randn({s.n}, 0.5f, &rng);
-    for (const bool relu : {false, true}) {
-      Tensor want({s.m, s.n});
-      Tensor got({s.m, s.n});
-      scalar.dequant_bias_act(acc_want.data(), sa_want.data(), sb.data(),
-                              bias.data(), want.data(), s.m, s.n, relu);
-      simd().dequant_bias_act(acc_want.data(), sa_want.data(), sb.data(),
-                              bias.data(), got.data(), s.m, s.n, relu);
-      EXPECT_LT(got.MaxAbsDiff(want), kParityTol)
-          << "dequant_bias_act relu=" << relu;
-      if (relu) {
-        for (int64_t i = 0; i < got.size(); ++i) {
-          EXPECT_GE(got[i], 0.0f);
-        }
-      }
-    }
-
-    // End-to-end sanity: the quantized matmul approximates the fp32 one to
-    // int8 resolution (each operand is on a 1/127 grid of its row/column
-    // maxabs, so the elementwise error is bounded well under 0.1 here).
-    Tensor fp32({s.m, s.n});
-    scalar.gemm(a.data(), b_fp.data(), fp32.data(), s.m, s.k, s.n, false);
-    const Tensor zero_bias({s.n});
-    Tensor deq({s.m, s.n});
-    scalar.dequant_bias_act(acc_want.data(), sa_want.data(), sb.data(),
-                            zero_bias.data(), deq.data(), s.m, s.n, false);
-    EXPECT_LT(deq.MaxAbsDiff(fp32), 0.1f)
-        << "int8 reconstruction " << s.m << "x" << s.k << "x" << s.n;
   }
 }
 

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -561,18 +562,18 @@ TEST_F(ParallelPipelineTest, EstimatorCacheHitsReturnIdenticalEstimates) {
   EXPECT_EQ(estimator.cache_counters().hits, pointers.size());
   EXPECT_EQ(estimator.cache_counters().misses, pointers.size());
 
-  estimator.InvalidateCache();
-  EXPECT_EQ(estimator.Estimate(*pointers[0]), cold[0]);
-  EXPECT_EQ(estimator.cache_counters().misses, pointers.size() + 1);
-
-  // Retraining the model in place bumps its weight revision; the next
-  // Estimate must drop the stale cache and serve the new model's value.
-  trainer.ContinueTraining(&model, pointers, {}, 1, nullptr);
-  MscnEstimator fresh(&featurizer, &model, "MSCN", /*cache_capacity=*/0);
+  // Publishing a retrained clone advances the publication version; the
+  // next Estimate must retire the stale entry and serve the new model's
+  // value.
+  std::shared_ptr<MscnModel> retrained =
+      trainer.TrainClone(model, pointers, {}, 1, nullptr);
+  estimator.SwapModel(retrained);
+  MscnEstimator fresh(&featurizer, retrained, "MSCN", /*cache_capacity=*/0);
   for (size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(estimator.Estimate(*pointers[i]), fresh.Estimate(*pointers[i]))
-        << "stale cached estimate after ContinueTraining, query " << i;
+        << "stale cached estimate after SwapModel, query " << i;
   }
+  EXPECT_EQ(estimator.cache_counters().invalidations, 5u);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 //    EST/ERR/OK response line and never a crash.
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -181,10 +180,6 @@ ImdbConfig SmallImdb() {
 class ServeFramingTest : public testing::Test {
  protected:
   static void SetUpTestSuite() {
-    // These tests assert the serve path bit-identical to EstimateAll, a
-    // property an ambient LC_NN_QUANT=int8 deliberately breaks (int8
-    // misses serve within a q-error bound instead). Stay hermetic.
-    unsetenv("LC_NN_QUANT");
     db_ = new Database(GenerateImdb(SmallImdb()));
     executor_ = new Executor(db_);
     samples_ = new SampleSet(db_, 32, 5);

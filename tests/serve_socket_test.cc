@@ -43,7 +43,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <future>
@@ -193,9 +192,8 @@ SocketServerConfig NetConfig(std::vector<std::string> listen) {
   config.idle_timeout_ms = 0;   // Tests that reap opt in explicitly.
   config.stats_interval_ms = 0; // Tests that log opt in explicitly.
   config.drain_timeout_ms = 20000;
-  // Honor the backend and loop-count knobs so CI can run this whole suite
-  // over poll(2) and with the transport sharded across 4 loops.
-  config.backend = GetEnvString("LC_SERVE_EVENT_BACKEND", "");
+  // Honor the loop-count knob so CI can run this whole suite with the
+  // transport sharded across 4 loops.
   config.loops = static_cast<int>(GetEnvInt("LC_SERVE_LOOPS", 1));
   return config;
 }
@@ -225,10 +223,6 @@ ImdbConfig SmallImdb() {
 class ServeSocketTest : public testing::Test {
  protected:
   static void SetUpTestSuite() {
-    // These tests assert the serve path bit-identical to EstimateAll, a
-    // property an ambient LC_NN_QUANT=int8 deliberately breaks (int8
-    // misses serve within a q-error bound instead). Stay hermetic.
-    unsetenv("LC_NN_QUANT");
     db_ = new Database(GenerateImdb(SmallImdb()));
     executor_ = new Executor(db_);
     samples_ = new SampleSet(db_, 32, 5);
@@ -557,7 +551,7 @@ TEST_F(ServeSocketTest, AdminVerbsOverSocketDuringLiveCopyTrainSwap) {
                          /*cache_capacity=*/0);
     after = direct.EstimateAll(pointers, 8);
   }
-  // Every response served mid-retrain belongs wholly to one revision.
+  // Every response served mid-retrain belongs wholly to one model.
   for (size_t j = 0; j < observed.size(); ++j) {
     EXPECT_TRUE(observed[j] == before[picks[j]] ||
                 observed[j] == after[picks[j]])

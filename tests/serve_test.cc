@@ -9,16 +9,13 @@
 //  - determinism: server estimates bit-match a direct EstimateAll over the
 //    same queries;
 //  - protocol: malformed input produces ERR lines, never a crash;
-//  - invalidation: ContinueTraining racing with concurrent lookups never
-//    serves a pre-retrain estimate as fresh (run under TSan in CI);
 //  - copy-train-swap: a background TrainClone + SwapModel (driven through
 //    the ADMIN RETRAIN verb) racing live traffic never exposes a torn
 //    model — every response bit-matches a direct EstimateAll against
-//    exactly one of the two published revisions — and post-swap cache
+//    exactly one of the two published models — and post-swap cache
 //    entries retire lazily, not via a global wipe (run under TSan in CI).
 
 #include <atomic>
-#include <cstdlib>
 #include <future>
 #include <string>
 #include <thread>
@@ -52,10 +49,6 @@ ImdbConfig SmallImdb() {
 class ServeTest : public testing::Test {
  protected:
   static void SetUpTestSuite() {
-    // These tests assert the serve path bit-identical to EstimateAll, a
-    // property an ambient LC_NN_QUANT=int8 deliberately breaks (int8
-    // misses serve within a q-error bound instead). Stay hermetic.
-    unsetenv("LC_NN_QUANT");
     db_ = new Database(GenerateImdb(SmallImdb()));
     executor_ = new Executor(db_);
     samples_ = new SampleSet(db_, 32, 5);
@@ -304,80 +297,12 @@ TEST_F(ServeTest, ProtocolRejectsMalformedInputWithErrLines) {
   EXPECT_EQ(stats.served, 1u);
 }
 
-// The invalidation-protocol satellite: retrain in place while reader
-// threads look up and estimate concurrently. Run under TSan in CI (the
-// ci.yml tsan job) — the revision counter, the model read/write lock and
-// the sharded cache are the synchronization under test. The functional
-// invariant checked here: after ContinueTraining returns, no lookup ever
-// serves a pre-retrain estimate.
-TEST_F(ServeTest, RetrainConcurrentWithLookupsNeverServesStaleEstimates) {
-  MscnModel model = *model_;  // Private copy: this test mutates weights.
-  MscnEstimator estimator(featurizer_, &model, "MSCN",
-                          /*cache_capacity=*/256);
-  MscnConfig config;
-  config.hidden_units = 16;
-  config.epochs = 1;
-  config.batch_size = 32;
-  config.seed = 7;
-  Trainer trainer(featurizer_, config);
-
-  const size_t kCount = 40;
-  const std::vector<const LabeledQuery*> pointers = QueryPointers(kCount);
-  // Warm the cache with pre-retrain estimates and remember them.
-  std::vector<double> before(kCount);
-  for (size_t i = 0; i < kCount; ++i) {
-    before[i] = estimator.Estimate(*pointers[i]);
-  }
-
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> readers;
-  for (int reader = 0; reader < 3; ++reader) {
-    readers.emplace_back([&] {
-      Tape tape;  // EstimateBatch is thread-safe with a caller-owned tape.
-      std::vector<double> estimates;
-      std::vector<uint8_t> hits;
-      size_t i = 0;
-      while (!stop.load(std::memory_order_acquire)) {
-        const LabeledQuery* query = pointers[i++ % kCount];
-        estimator.EstimateBatch({query}, &tape, &estimates, &hits);
-        double probed = 0.0;
-        estimator.ProbeCache(query->query.CanonicalKey(), &probed);
-      }
-    });
-  }
-
-  {
-    // The retrain contract for concurrently-served models: hold the
-    // estimator's model write lock for the in-place weight mutation.
-    auto guard = estimator.AcquireModelWriteLock();
-    trainer.ContinueTraining(&model, pointers, {}, 1, nullptr);
-  }
-  stop.store(true, std::memory_order_release);
-  for (std::thread& reader : readers) reader.join();
-
-  // Ground truth for the retrained weights: a cache-free estimator.
-  MscnEstimator fresh(featurizer_, &model, "MSCN", /*cache_capacity=*/0);
-  size_t changed = 0;
-  Tape tape;
-  std::vector<double> after;
-  std::vector<uint8_t> hits;
-  for (size_t i = 0; i < kCount; ++i) {
-    estimator.EstimateBatch({pointers[i]}, &tape, &after, &hits);
-    EXPECT_EQ(after[0], fresh.Estimate(*pointers[i]))
-        << "stale (pre-retrain) estimate served as fresh, query " << i;
-    if (after[0] != before[i]) ++changed;
-  }
-  // The retrain moved the weights, so serving identical estimates across
-  // the board would mean the cache never invalidated.
-  EXPECT_GT(changed, 0u);
-}
-
 // The copy-train-swap tentpole: a background clone-train-swap (kicked via
 // the ADMIN RETRAIN protocol verb) races live traffic. Under TSan in CI
-// this exercises the SwapHandle publication, the revision advance, and the
+// this exercises the SwapHandle publication, the version advance, and the
 // per-entry retirement; functionally it asserts
 //  (a) no torn model: every served estimate bit-matches a direct
-//      EstimateAll against exactly one of the two revisions,
+//      EstimateAll against exactly one of the two models,
 //  (b) traffic keeps flowing while the retrain is in flight (no request
 //      blocks on training),
 //  (c) stale entries retire lazily (invalidation counter, no wipe), and
@@ -395,7 +320,7 @@ TEST_F(ServeTest, CopyTrainSwapNeverServesTornModelAndRetiresLazily) {
 
   const size_t kCount = 40;
   const std::vector<const LabeledQuery*> pointers = QueryPointers(kCount);
-  // Ground truth per revision, from cache-free estimators: the old model's
+  // Ground truth per model, from cache-free estimators: the old model's
   // bits now, the new model's bits after the swap below.
   std::vector<double> before(kCount);
   {
@@ -435,7 +360,7 @@ TEST_F(ServeTest, CopyTrainSwapNeverServesTornModelAndRetiresLazily) {
 
   // Drive traffic until the background retrain publishes its swap. Every
   // response must be a whole-model estimate; torn reads would produce a
-  // value belonging to neither revision. Served-while-training counts
+  // value belonging to neither model. Served-while-training counts
   // prove no request waited for the retrain to finish.
   size_t served_during_retrain = 0;
   std::vector<serve::Response> responses;
@@ -473,7 +398,7 @@ TEST_F(ServeTest, CopyTrainSwapNeverServesTornModelAndRetiresLazily) {
     const double estimate = responses[j].estimate;
     EXPECT_TRUE(estimate == before[picks[j]] || estimate == after[picks[j]])
         << "request " << j << " observed a torn model: " << estimate
-        << " matches neither revision (" << before[picks[j]] << " / "
+        << " matches neither model (" << before[picks[j]] << " / "
         << after[picks[j]] << ")";
   }
 

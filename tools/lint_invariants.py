@@ -23,11 +23,13 @@ Enforced rules (one violation line per finding, exit 1 on any):
                   LC_TEST_* knobs; they are exercised, not documented.)
 
   raw-mutex       Every mutex in src/ is the annotated lc::Mutex /
-                  lc::SharedMutex / lc::CondVar wrapper from util/mutex.h,
-                  never a raw std:: synchronization type — a raw std::mutex
-                  member is invisible to Clang Thread Safety Analysis and
-                  silently punches a hole in the -Wthread-safety proofs.
-                  Allowed only in src/util/mutex.h, the wrapper itself.
+                  lc::CondVar wrapper from util/mutex.h, never a raw std::
+                  synchronization type — a raw std::mutex member is
+                  invisible to Clang Thread Safety Analysis and silently
+                  punches a hole in the -Wthread-safety proofs. Allowed
+                  only in src/util/mutex.h, the wrapper itself. The repo
+                  has no reader/writer lock, so std::shared_mutex and
+                  std::shared_lock have no wrapper and stay forbidden.
 
   unregistered-test
                   Every tests/*_test.cc file is registered in
