@@ -5,12 +5,15 @@
 //
 //   scalar  portable reference, always compiled; the ground truth that the
 //           parity tests (tests/nn_kernels_test.cc) compare against.
-//   avx2    AVX2+FMA, compiled only where the toolchain supports
-//           -mavx2 -mfma (see src/nn/CMakeLists.txt) and selected at
-//           runtime only when cpuid reports both features.
-//   avx512  AVX-512F, compiled per-file with -mavx512f and selected at
-//           runtime only when cpuid reports it; 16-lane register-tiled
-//           variants of the same kernels.
+//   avx2    8-lane instantiation of the vector body, compiled only where the
+//           toolchain supports -mavx2 -mfma (see src/nn/CMakeLists.txt) and
+//           selected at runtime only when cpuid reports both features.
+//   avx512  16-lane instantiation of the same body, compiled per-file with
+//           -mavx512f and selected at runtime only when cpuid reports it.
+//
+// The vector kernels are written once, in nn/simd_kernels.h, over a thin
+// width-parametric register wrapper; kernels_avx2.cc and kernels_avx512.cc
+// hold only their wrapper and the table hook.
 //
 // The active table is resolved once, on first use: the best available
 // backend (avx512 > avx2 > scalar), overridable with
@@ -18,11 +21,13 @@
 // ruling SIMD in or out when debugging numerics).
 // Numerics: the axpy-structured kernels (gemm, gemm_sparse_a, gemm_trans_a,
 // axpy, and the elementwise family) accumulate along the reduction
-// dimension in the same element order in every backend, so they differ only
-// by FMA contraction; gemm_trans_b is dot-product shaped and the vector
+// dimension in the same element order in every backend, so they differ from
+// scalar only by FMA contraction and are bit-identical between avx2 and
+// avx512 (adam_update excepted: its scalar tail associates differently from
+// its vector body); gemm_trans_b is dot-product shaped and its vector
 // versions use lane-parallel partial sums (8 for AVX2, 16 for AVX-512 — a
 // tree reassociation). tests/nn_kernels_test.cc pins both kinds of
-// divergence to within 1e-5 on activation-scaled inputs.
+// divergence from scalar to within 1e-5 on activation-scaled inputs.
 //
 // All kernels take raw row-major float pointers. Buffers may overlap only
 // where a kernel documents in-place operation; none require alignment

@@ -1,7 +1,8 @@
 // Kernel backend tests: SIMD-vs-scalar parity as a backend matrix (the
 // same randomized-shape suite runs against every vector backend the build
 // and CPU provide — AVX2 and AVX-512 — skipping cleanly where cpuid says
-// no), backend dispatch, the aligned reusable-capacity Tensor contract,
+// no), bit-for-bit agreement of the two vector widths on the in-order
+// kernels, backend dispatch, the aligned reusable-capacity Tensor contract,
 // and tape workspace reuse.
 //
 // Parity tolerance is 1e-5 via Tensor::MaxAbsDiff: the axpy-structured
@@ -249,6 +250,109 @@ TEST_P(KernelParityTest, AdamUpdateMatchesScalar) {
     EXPECT_LT(value_b.MaxAbsDiff(value_a), kParityTol);
     EXPECT_LT(m_b.MaxAbsDiff(m_a), kParityTol);
     EXPECT_LT(v_b.MaxAbsDiff(v_a), kParityTol);
+  }
+}
+
+// AVX2 and AVX-512 instantiate one kernel body (nn/simd_kernels.h), so every
+// kernel that accumulates each output element in the same order at any lane
+// width must agree bit for bit across the two tables. Left out:
+// gemm_trans_b, whose dot products reduce through 8 vs 16 lane partials, and
+// adam_update, whose scalar tail computes (1-b2)*g*g where the vector body
+// computes (1-b2)*(g*g), so which elements land in the tail changes bits.
+TEST(KernelWidthAgreementTest, Avx2AndAvx512AgreeBitForBit) {
+  const KernelOps* avx2 = Avx2KernelOps();
+  const KernelOps* avx512 = Avx512KernelOps();
+  if (avx2 == nullptr || avx512 == nullptr) {
+    GTEST_SKIP() << "needs both the avx2 and the avx512 kernels";
+  }
+  // Runs `kernel` on each table from the same initial output `seed`.
+  const auto expect_agree = [&](const std::string& what, const Tensor& seed,
+                                const auto& kernel) {
+    Tensor narrow = seed;
+    Tensor wide = seed;
+    kernel(*avx2, narrow.data());
+    kernel(*avx512, wide.data());
+    EXPECT_TRUE(wide.Equals(narrow)) << what;
+  };
+  Rng rng(29);
+  for (const GemmShape& s : kShapes) {
+    for (const bool accumulate : {false, true}) {
+      const std::string shape = std::to_string(s.m) + "x" +
+                                std::to_string(s.k) + "x" +
+                                std::to_string(s.n) +
+                                (accumulate ? " acc" : "");
+      const Tensor a = RandomMatrix(s.m, s.k, s.k, &rng);
+      Tensor sparse_a = a;
+      Sparsify(&sparse_a, &rng);
+      const Tensor b = RandomMatrix(s.k, s.n, s.k, &rng);
+      const Tensor bt = RandomMatrix(s.m, s.n, s.m, &rng);
+      const Tensor c = Tensor::Randn({s.m, s.n}, 0.5f, &rng);
+      const Tensor ct = Tensor::Randn({s.k, s.n}, 0.5f, &rng);
+      expect_agree("gemm " + shape, c, [&](const KernelOps& ops, float* out) {
+        ops.gemm(a.data(), b.data(), out, s.m, s.k, s.n, accumulate);
+      });
+      expect_agree("gemm_sparse_a " + shape, c,
+                   [&](const KernelOps& ops, float* out) {
+                     ops.gemm_sparse_a(sparse_a.data(), b.data(), out, s.m,
+                                       s.k, s.n, accumulate);
+                   });
+      expect_agree("gemm_trans_a " + shape, ct,
+                   [&](const KernelOps& ops, float* out) {
+                     ops.gemm_trans_a(a.data(), bt.data(), out, s.m, s.k,
+                                      s.n, accumulate);
+                   });
+    }
+  }
+  for (const int64_t rows : {1, 3, 8}) {
+    for (const int64_t cols : {1, 5, 8, 17, 64, 131}) {
+      const int64_t n = rows * cols;
+      const std::string shape =
+          " " + std::to_string(rows) + "x" + std::to_string(cols);
+      const Tensor x = Tensor::Randn({rows, cols}, 1.0f, &rng);
+      const Tensor bias = Tensor::Randn({cols}, 1.0f, &rng);
+      const Tensor dout = Tensor::Randn({rows, cols}, 1.0f, &rng);
+      const Tensor seed = Tensor::Randn({rows, cols}, 0.5f, &rng);
+      const Tensor seed_cols = Tensor::Randn({cols}, 0.5f, &rng);
+      Tensor relu_out({rows, cols});
+      ScalarKernelOps().relu(x.data(), relu_out.data(), n);
+
+      expect_agree("bias_add" + shape, seed,
+                   [&](const KernelOps& ops, float* out) {
+                     ops.bias_add(x.data(), bias.data(), out, rows, cols);
+                   });
+      expect_agree("bias_relu" + shape, seed,
+                   [&](const KernelOps& ops, float* out) {
+                     ops.bias_relu(x.data(), bias.data(), out, rows, cols);
+                   });
+      expect_agree("bias_relu_grad dx" + shape, seed,
+                   [&](const KernelOps& ops, float* out) {
+                     ops.bias_relu_grad(relu_out.data(), dout.data(), out,
+                                        nullptr, rows, cols);
+                   });
+      expect_agree("bias_relu_grad db" + shape, seed_cols,
+                   [&](const KernelOps& ops, float* out) {
+                     ops.bias_relu_grad(relu_out.data(), dout.data(), nullptr,
+                                        out, rows, cols);
+                   });
+      expect_agree("relu" + shape, seed, [&](const KernelOps& ops, float* out) {
+        ops.relu(x.data(), out, n);
+      });
+      expect_agree("relu_grad" + shape, seed,
+                   [&](const KernelOps& ops, float* out) {
+                     ops.relu_grad(relu_out.data(), dout.data(), out, n);
+                   });
+      expect_agree("axpy" + shape, seed, [&](const KernelOps& ops, float* out) {
+        ops.axpy(x.data(), 0.75f, out, n);
+      });
+      expect_agree("scale" + shape, seed,
+                   [&](const KernelOps& ops, float* out) {
+                     ops.scale(x.data(), -1.5f, out, n);
+                   });
+      expect_agree("col_sum_acc" + shape, seed_cols,
+                   [&](const KernelOps& ops, float* out) {
+                     ops.col_sum_acc(x.data(), out, rows, cols);
+                   });
+    }
   }
 }
 
