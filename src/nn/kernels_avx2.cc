@@ -43,16 +43,44 @@ struct Avx2 {
     return _mm_cvtss_f32(sum);
   }
 
-  // All-ones in the first `rem` 32-bit lanes: the maskload/maskstore mask.
-  static __m256i TailMask(int64_t rem) {
-    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(rem)),
-                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-  }
+  // The tails move the `rem` floats in 16-, 8- and 4-byte pieces rather
+  // than with _mm256_maskload_ps/_mm256_maskstore_ps. A masked store cannot
+  // forward to a later load of the same address, and the backward kernels
+  // re-read what they just stored on every row (col_sum_acc and
+  // bias_relu_grad accumulate into one bias-gradient row): on a 1-column
+  // layer the masked forms made those kernels 2.5-5x slower than a scalar
+  // tail. Masked stores are also microcoded on some AMD cores. The lanes
+  // read and written are the same, so the bits are too.
   static Reg LoadTail(const float* p, int64_t rem) {
-    return _mm256_maskload_ps(p, TailMask(rem));
+    if (rem < 4) return _mm256_zextps128_ps256(LoadPart(p, rem));
+    return _mm256_set_m128(LoadPart(p + 4, rem - 4), _mm_loadu_ps(p));
   }
   static void StoreTail(float* p, int64_t rem, Reg v) {
-    _mm256_maskstore_ps(p, TailMask(rem), v);
+    __m128 part = _mm256_castps256_ps128(v);
+    if (rem >= 4) {
+      _mm_storeu_ps(p, part);
+      p += 4;
+      rem -= 4;
+      part = _mm256_extractf128_ps(v, 1);
+    }
+    StorePart(p, rem, part);
+  }
+
+  // The first `rem` (< 4) floats of p in the low lanes, zeros above.
+  static __m128 LoadPart(const float* p, int64_t rem) {
+    if (rem == 1) return _mm_load_ss(p);
+    const __m128 zero = _mm_setzero_ps();
+    if (rem == 0) return zero;
+    const __m128 two = _mm_loadl_pi(zero, reinterpret_cast<const __m64*>(p));
+    return rem == 2 ? two : _mm_movelh_ps(two, _mm_load_ss(p + 2));
+  }
+  static void StorePart(float* p, int64_t rem, __m128 v) {
+    if (rem == 1) {
+      _mm_store_ss(p, v);
+    } else if (rem >= 2) {
+      _mm_storel_pi(reinterpret_cast<__m64*>(p), v);
+      if (rem == 3) _mm_store_ss(p + 2, _mm_movehl_ps(v, v));
+    }
   }
 };
 

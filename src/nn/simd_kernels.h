@@ -8,8 +8,8 @@
 // = a * b + c, ReduceAdd, KeepWherePositive(gate, v) = (gate > 0 ? v : 0)
 // per lane, and LoadTail(p, rem) / StoreTail(p, rem, v), which touch only
 // the first `rem` (< kLanes) lanes and read zeros into the others. Column
-// remainders go through the masked tail ops, so no kernel carries a scalar
-// tail loop except adam_update (see there).
+// remainders go through the tail ops, so no kernel carries a scalar tail
+// loop except adam_update (see there).
 //
 // Each backend defines V in an anonymous namespace: every instantiation
 // below then has internal linkage, so no code compiled under one ISA flag
@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <utility>
 
 #include "nn/kernels.h"
 
@@ -77,13 +78,15 @@ void ZeroFill(float* c, int64_t count) {
 }
 
 // C(R rows, kVecs vectors from column j) += sum_t a(r, t) * b_row(t), with
-// a(r, t) read as a_base[r * a_r_stride + t * a_t_stride] and
-// b_row(t) = b_base + t * n. The reduction loop runs innermost over t so
-// each output element accumulates in t-order.
-template <class V, int R, int kVecs, class L>
-void AxpyStrip(L lanes, const float* a_base, int64_t a_r_stride,
-               int64_t a_t_stride, const float* b_base, float* c_base,
-               int64_t t_len, int64_t n, int64_t j) {
+// b_row(t) = b_base + t * n and a(r, t) read as a_base[r * lda + t], or as
+// a_base[t * lda + r] when kTransA. The unit stride is a template argument,
+// not a runtime one, so both GEMMs compile with it known (at -O3, GCC had
+// specialised only one of them, and gemm_trans_a ran ~1.2x slower). The
+// reduction loop runs innermost over t so each output element accumulates
+// in t-order.
+template <class V, bool kTransA, int R, int kVecs, class L>
+void AxpyStrip(L lanes, const float* a_base, int64_t lda, const float* b_base,
+               float* c_base, int64_t t_len, int64_t n, int64_t j) {
   using Reg = typename V::Reg;
   Reg acc[R][kVecs];
   for (int r = 0; r < R; ++r) {
@@ -96,7 +99,8 @@ void AxpyStrip(L lanes, const float* a_base, int64_t a_r_stride,
     Reg bv[kVecs];
     for (int v = 0; v < kVecs; ++v) bv[v] = lanes.Load(b_row + v * V::kLanes);
     for (int r = 0; r < R; ++r) {
-      const Reg av = V::Set1(a_base[r * a_r_stride + t * a_t_stride]);
+      const Reg av =
+          V::Set1(kTransA ? a_base[t * lda + r] : a_base[r * lda + t]);
       for (int v = 0; v < kVecs; ++v) acc[r][v] = V::Fma(av, bv[v], acc[r][v]);
     }
   }
@@ -108,43 +112,43 @@ void AxpyStrip(L lanes, const float* a_base, int64_t a_r_stride,
 }
 
 // One register tile covers R rows x 2 vectors of columns, then 1 vector,
-// then the masked remainder. Serves the GEMM (rows of A) and the
-// transposed-A GEMM (columns of A) — the two differ only in the strides.
-template <class V, int R>
-void AxpyTile(const float* a_base, int64_t a_r_stride, int64_t a_t_stride,
-              const float* b_base, float* c_base, int64_t t_len, int64_t n) {
+// then the remainder. Serves the GEMM (rows of A) and the transposed-A GEMM
+// (columns of A).
+template <class V, bool kTransA, int R>
+void AxpyTile(const float* a_base, int64_t lda, const float* b_base,
+              float* c_base, int64_t t_len, int64_t n) {
   int64_t j = 0;
   for (; j + 2 * V::kLanes <= n; j += 2 * V::kLanes) {
-    AxpyStrip<V, R, 2>(Lanes<V, false>{}, a_base, a_r_stride, a_t_stride,
-                       b_base, c_base, t_len, n, j);
+    AxpyStrip<V, kTransA, R, 2>(Lanes<V, false>{}, a_base, lda, b_base,
+                                c_base, t_len, n, j);
   }
   ForEachVector<V>(n - j, [&](auto lanes, int64_t jj) {
-    AxpyStrip<V, R, 1>(lanes, a_base, a_r_stride, a_t_stride, b_base, c_base,
-                       t_len, n, j + jj);
+    AxpyStrip<V, kTransA, R, 1>(lanes, a_base, lda, b_base, c_base, t_len, n,
+                                j + jj);
   });
 }
 
 // Runs the R = 4 tile over `rows` rows, then the 1..3 leftover rows.
-template <class V>
-void AxpyRows(int64_t rows, const float* a_base, int64_t a_r_stride,
-              int64_t a_t_stride, const float* b_base, float* c_base,
-              int64_t t_len, int64_t n) {
+template <class V, bool kTransA>
+void AxpyRows(int64_t rows, const float* a_base, int64_t lda,
+              const float* b_base, float* c_base, int64_t t_len, int64_t n) {
+  const int64_t row_step = kTransA ? 1 : lda;
   int64_t i = 0;
   for (; i + 4 <= rows; i += 4) {
-    AxpyTile<V, 4>(a_base + i * a_r_stride, a_r_stride, a_t_stride, b_base,
-                   c_base + i * n, t_len, n);
+    AxpyTile<V, kTransA, 4>(a_base + i * row_step, lda, b_base, c_base + i * n,
+                            t_len, n);
   }
-  const float* a_rest = a_base + i * a_r_stride;
+  const float* a_rest = a_base + i * row_step;
   float* c_rest = c_base + i * n;
   switch (rows - i) {
     case 3:
-      AxpyTile<V, 3>(a_rest, a_r_stride, a_t_stride, b_base, c_rest, t_len, n);
+      AxpyTile<V, kTransA, 3>(a_rest, lda, b_base, c_rest, t_len, n);
       return;
     case 2:
-      AxpyTile<V, 2>(a_rest, a_r_stride, a_t_stride, b_base, c_rest, t_len, n);
+      AxpyTile<V, kTransA, 2>(a_rest, lda, b_base, c_rest, t_len, n);
       return;
     case 1:
-      AxpyTile<V, 1>(a_rest, a_r_stride, a_t_stride, b_base, c_rest, t_len, n);
+      AxpyTile<V, kTransA, 1>(a_rest, lda, b_base, c_rest, t_len, n);
       return;
     default:
       return;
@@ -155,7 +159,7 @@ template <class V>
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
           int64_t n, bool accumulate) {
   if (!accumulate) ZeroFill<V>(c, m * n);
-  AxpyRows<V>(m, a, /*a_r_stride=*/k, /*a_t_stride=*/1, b, c, /*t_len=*/k, n);
+  AxpyRows<V, false>(m, a, /*lda=*/k, b, c, /*t_len=*/k, n);
 }
 
 template <class V>
@@ -163,12 +167,16 @@ void GemmTransA(const float* a, const float* b, float* c, int64_t m,
                 int64_t k, int64_t n, bool accumulate) {
   // C(k,n) = A(m,k)^T * B(m,n): same tile with A walked column-wise.
   if (!accumulate) ZeroFill<V>(c, k * n);
-  AxpyRows<V>(k, a, /*a_r_stride=*/1, /*a_t_stride=*/k, b, c, /*t_len=*/m, n);
+  AxpyRows<V, true>(k, a, /*lda=*/k, b, c, /*t_len=*/m, n);
 }
 
-// y += alpha * x; the building block of the sparse-A GEMM.
+// y += alpha * x; the building block of the sparse-A GEMM. Forced inline
+// there, as DotTile is in gemm_trans_b: at -O3 GCC otherwise calls both
+// out of line once per nonzero / per four outputs, which made the two
+// kernels ~15% slower inside a training step.
 template <class V>
-void Axpy(const float* x, float alpha, float* y, int64_t n) {
+[[gnu::always_inline]] inline void Axpy(const float* x, float alpha, float* y,
+                                        int64_t n) {
   const typename V::Reg av = V::Set1(alpha);
   ForEachVector<V>(n, [&](auto lanes, int64_t i) {
     lanes.Store(y + i, V::Fma(av, lanes.Load(x + i), lanes.Load(y + i)));
@@ -193,30 +201,42 @@ void GemmSparseA(const float* a, const float* b, float* c, int64_t m,
   }
 }
 
+// Calls f(0), ..., f(R - 1) as straight-line code. GCC 12 -O2 leaves a
+// plain `for (r < R)` loop in DotTile rolled and keeps its accumulators on
+// the stack; unrolled, they stay in registers (gemm_trans_b at n = 64 runs
+// in about half the time).
+template <int R, class F>
+[[gnu::always_inline]] inline void Unroll(F f) {
+  [&]<int... r>(std::integer_sequence<int, r...>) {
+    (f(r), ...);
+  }(std::make_integer_sequence<int, R>{});
+}
+
 // c_out[r] += dot(a_row, b_rows + r * n) over n for r < R, each dot product
 // accumulated in kLanes lane partials (masked lanes contribute exact zeros)
 // and tree-reduced at the end. Not written over ForEachVector: with acc
-// captured by the step, GCC 12 -O2 keeps it in memory (~1.25x slower).
+// captured by its step, GCC 12 -O2 keeps acc in memory.
 template <class V, int R>
-void DotTile(const float* a_row, const float* b_rows, float* c_out,
-             int64_t n) {
+[[gnu::always_inline]] inline void DotTile(const float* a_row,
+                                           const float* b_rows, float* c_out,
+                                           int64_t n) {
   using Reg = typename V::Reg;
   Reg acc[R];
-  for (int r = 0; r < R; ++r) acc[r] = V::Zero();
+  Unroll<R>([&](int r) { acc[r] = V::Zero(); });
   int64_t j = 0;
   for (; j + V::kLanes <= n; j += V::kLanes) {
     const Reg av = V::Load(a_row + j);
-    for (int r = 0; r < R; ++r) {
+    Unroll<R>([&](int r) {
       acc[r] = V::Fma(av, V::Load(b_rows + r * n + j), acc[r]);
-    }
+    });
   }
   if (j < n) {
     const Reg av = V::LoadTail(a_row + j, n - j);
-    for (int r = 0; r < R; ++r) {
+    Unroll<R>([&](int r) {
       acc[r] = V::Fma(av, V::LoadTail(b_rows + r * n + j, n - j), acc[r]);
-    }
+    });
   }
-  for (int r = 0; r < R; ++r) c_out[r] += V::ReduceAdd(acc[r]);
+  Unroll<R>([&](int r) { c_out[r] += V::ReduceAdd(acc[r]); });
 }
 
 template <class V>

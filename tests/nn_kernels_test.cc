@@ -15,6 +15,7 @@
 #include "nn/kernels.h"
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -272,7 +273,11 @@ TEST(KernelWidthAgreementTest, Avx2AndAvx512AgreeBitForBit) {
     Tensor wide = seed;
     kernel(*avx2, narrow.data());
     kernel(*avx512, wide.data());
-    EXPECT_TRUE(wide.Equals(narrow)) << what;
+    // Bytes, not Tensor::Equals: float == would let -0.0 match +0.0.
+    EXPECT_EQ(std::memcmp(wide.data(), narrow.data(),
+                          static_cast<size_t>(seed.size()) * sizeof(float)),
+              0)
+        << what;
   };
   Rng rng(29);
   for (const GemmShape& s : kShapes) {
