@@ -20,7 +20,7 @@
 //
 // Socket-transport mode (PR 6): `serve_load --transport=socket` drives the
 // same workload through the real network stack (serve/net: unix-domain
-// socket, epoll event loop, line framing) instead of in-process Submit.
+// socket, epoll event loop, line framing) instead of in-process HandleLine.
 // Hundreds of concurrent connections (LC_SERVE_LOAD_CONNS, default 256)
 // each keep a pipelined window of requests on the wire
 // (LC_SERVE_LOAD_PIPELINE, default 8), and EVERY response is gated
@@ -59,6 +59,7 @@
 #include "eval/experiment.h"
 #include "eval/report.h"
 #include "serve/net/socket_server.h"
+#include "serve/protocol.h"
 #include "serve/server.h"
 #include "util/check.h"
 #include "util/env.h"
@@ -103,10 +104,10 @@ LoadResult RunLoad(lc::MscnEstimator* estimator, const lc::Schema& schema,
             (i * 2654435761ULL + static_cast<size_t>(client) * 97ULL) %
             texts.size();
         lc::WallTimer timer;
-        const lc::serve::Response response = server.Submit(texts[pick]);
+        const std::string line = server.HandleLine(texts[pick]);
         mine.push_back(timer.Seconds() * 1e6);
-        LC_CHECK(response.status.ok())
-            << "request rejected under load: " << response.status;
+        LC_CHECK(lc::serve::ParseEstimate(line).ok())
+            << "request rejected under load: " << line;
       }
     });
   }
@@ -172,10 +173,10 @@ RetrainLoadResult RunRetrainLoad(
             texts.size();
         const bool before = retraining.load(std::memory_order_acquire);
         lc::WallTimer timer;
-        const lc::serve::Response response = server.Submit(texts[pick]);
+        const std::string line = server.HandleLine(texts[pick]);
         const double us = timer.Seconds() * 1e6;
         const bool after = retraining.load(std::memory_order_acquire);
-        if (!response.status.ok()) {
+        if (!lc::serve::ParseEstimate(line).ok()) {
           // A retrain that stalled the lanes would fill the admission
           // queue; shedding is part of the stall story.
           shed.fetch_add(1, std::memory_order_relaxed);
@@ -401,15 +402,8 @@ SocketLoadResult RunSocketLoad(lc::MscnEstimator* estimator,
           for (const size_t pick : conn.picks) {
             const std::string line = conn.ReadLine();
             lat.push_back(conn.burst_timer.Seconds() * 1e6);
-            bool matches = lc::StartsWith(line, "EST ");
-            if (matches) {
-              std::string_view text = std::string_view(line).substr(4);
-              text = text.substr(0, text.find(' '));
-              double got = 0.0;
-              matches = lc::ParseDouble(text, &got).ok() &&
-                        got == expected[pick];
-            }
-            if (!matches) {
+            const lc::StatusOr<double> got = lc::serve::ParseEstimate(line);
+            if (!got.ok() || *got != expected[pick]) {
               bit_mismatches.fetch_add(1, std::memory_order_relaxed);
             }
           }
@@ -672,18 +666,20 @@ int main(int argc, char** argv) {
                          cache_on.cache_counters());
 
   // Bit-match gate: the server path (parse → validate → relabel → batched
-  // EstimateBatch, cache on or off) must reproduce EstimateAll exactly.
+  // EstimateBatch, cache on or off) must reproduce EstimateAll exactly, in
+  // the %.17g response text a socket client reads.
   for (const bool use_cache : {false, true}) {
     lc::MscnEstimator estimator(&featurizer, &model, "verify",
                                 use_cache ? int64_t{4096} : int64_t{0});
     lc::serve::EstimatorServer server(&estimator, &schema, &samples);
     for (size_t i = 0; i < distinct; ++i) {
-      const lc::serve::Response response = server.Submit(texts[i]);
-      LC_CHECK(response.status.ok()) << response.status;
-      LC_CHECK(response.estimate == expected[i])
+      const std::string line = server.HandleLine(texts[i]);
+      const lc::StatusOr<double> got = lc::serve::ParseEstimate(line);
+      LC_CHECK(got.ok()) << line;
+      LC_CHECK(*got == expected[i])
           << "server estimate diverged from EstimateAll (cache="
-          << (use_cache ? "on" : "off") << ", query " << i << "): "
-          << response.estimate << " vs " << expected[i];
+          << (use_cache ? "on" : "off") << ", query " << i << "): " << line
+          << " vs " << lc::Format("%.17g", expected[i]);
     }
   }
   std::cout << "\nbit-match: server estimates identical to direct "
@@ -765,7 +761,8 @@ int main(int argc, char** argv) {
       return lc::Status::OK();
     });
     for (size_t i = 0; i < distinct; ++i) {
-      LC_CHECK(server.Submit(texts[i]).status.ok());
+      const std::string line = server.HandleLine(texts[i]);
+      LC_CHECK(lc::serve::ParseEstimate(line).ok()) << line;
     }
     const std::string line = server.HandleLine("ADMIN RETRAIN");
     LC_CHECK(lc::StartsWith(line, "OK")) << line;
@@ -777,9 +774,10 @@ int main(int argc, char** argv) {
     const std::vector<double> fresh_expected =
         fresh_direct.EstimateAll(pointers, 64);
     for (size_t i = 0; i < distinct; ++i) {
-      const lc::serve::Response response = server.Submit(texts[i]);
-      LC_CHECK(response.status.ok()) << response.status;
-      LC_CHECK(response.estimate == fresh_expected[i])
+      const std::string line = server.HandleLine(texts[i]);
+      const lc::StatusOr<double> got = lc::serve::ParseEstimate(line);
+      LC_CHECK(got.ok()) << line;
+      LC_CHECK(*got == fresh_expected[i])
           << "post-swap estimate diverged from the new model at query " << i;
     }
     retirements = server.GetStats().stale_retirements;

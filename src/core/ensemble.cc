@@ -9,14 +9,13 @@ namespace lc {
 
 namespace {
 
-std::shared_ptr<std::vector<MscnModel>> TrainMembers(
+std::vector<MscnModel> TrainMembers(
     const Featurizer* featurizer, const MscnConfig& config, int size,
     const std::vector<const LabeledQuery*>& train,
     const std::vector<const LabeledQuery*>& validation) {
   LC_CHECK(featurizer != nullptr);
   LC_CHECK_GT(size, 0);
-  auto members =
-      std::make_shared<std::vector<MscnModel>>(static_cast<size_t>(size));
+  std::vector<MscnModel> members(static_cast<size_t>(size));
   // Members differ only in their seed and never share mutable state, so
   // they train concurrently and land in their slots deterministically.
   ParallelFor(ThreadPool::Global(), 0, static_cast<size_t>(size), 1,
@@ -25,8 +24,7 @@ std::shared_ptr<std::vector<MscnModel>> TrainMembers(
                 member_config.seed =
                     config.seed + static_cast<uint64_t>(member);
                 Trainer trainer(featurizer, member_config);
-                (*members)[member] =
-                    trainer.Train(train, validation, nullptr);
+                members[member] = trainer.Train(train, validation, nullptr);
               });
   return members;
 }
@@ -43,48 +41,30 @@ MscnEnsemble::MscnEnsemble(const Featurizer* featurizer,
 MscnEnsemble::MscnEnsemble(const Featurizer* featurizer,
                            std::vector<MscnModel> members)
     : featurizer_(featurizer),
-      members_(std::make_shared<std::vector<MscnModel>>(std::move(members))) {
+      members_(std::move(members)) {
   LC_CHECK(featurizer != nullptr);
-  const std::shared_ptr<std::vector<MscnModel>> current = members_.Load();
-  LC_CHECK(!current->empty());
-  for (const MscnModel& member : *current) {
+  LC_CHECK(!members_.empty());
+  for (const MscnModel& member : members_) {
     LC_CHECK(member.dims() == featurizer->dims())
         << "ensemble member does not match the featurizer";
   }
 }
 
-std::shared_ptr<std::vector<MscnModel>> MscnEnsemble::SwapMembers(
-    std::shared_ptr<std::vector<MscnModel>> fresh) {
-  LC_CHECK(fresh != nullptr);
-  LC_CHECK(!fresh->empty());
-  for (const MscnModel& member : *fresh) {
-    LC_CHECK(member.dims() == featurizer_->dims())
-        << "swapped-in ensemble member does not match the featurizer";
-  }
-  return members_.Swap(std::move(fresh));
-}
-
 MscnModel& MscnEnsemble::member(int index) {
-  const std::shared_ptr<std::vector<MscnModel>> members = members_.Load();
-  LC_CHECK(index >= 0 && index < static_cast<int>(members->size()));
-  // Only valid while the handle still publishes this set — a concurrent
-  // SwapMembers would leave the returned reference dangling once the last
-  // snapshot drops (see the header caveat; swap-aware callers must hold
-  // members_snapshot() instead).
-  return (*members)[static_cast<size_t>(index)];
+  LC_CHECK(index >= 0 && index < size());
+  return members_[static_cast<size_t>(index)];
 }
 
 UncertainEstimate MscnEnsemble::EstimateWithUncertainty(
     const LabeledQuery& query) {
-  const std::shared_ptr<std::vector<MscnModel>> members = members_.Load();
   const MscnBatch batch = featurizer_->MakeBatch({&query}, nullptr);
   std::vector<double> log_estimates;
-  log_estimates.reserve(members->size());
+  log_estimates.reserve(members_.size());
   UncertainEstimate result;
   result.min_estimate = std::numeric_limits<double>::infinity();
   result.max_estimate = 0.0;
   std::vector<double> member_estimates;
-  for (MscnModel& member : *members) {
+  for (MscnModel& member : members_) {
     member_estimates.clear();
     member.Predict(batch, &tape_, &member_estimates);
     const double estimate = std::max(1.0, member_estimates[0]);
@@ -112,8 +92,6 @@ double MscnEnsemble::Estimate(const LabeledQuery& query) {
 std::vector<double> MscnEnsemble::EstimateAll(
     const std::vector<const LabeledQuery*>& queries, size_t batch_size,
     ThreadPool* pool) {
-  // One snapshot for the whole sweep, shared read-only by every shard.
-  const std::shared_ptr<std::vector<MscnModel>> members = members_.Load();
   std::vector<double> estimates(queries.size());
   // Every member's forward pass only reads that member's parameters; see
   // ForEachBatchShard for the partition/determinism argument.
@@ -124,16 +102,16 @@ std::vector<double> MscnEnsemble::EstimateAll(
         const MscnBatch batch = featurizer_->MakeBatch(slice, nullptr);
         std::vector<double> member_estimates;
         std::vector<double> log_sums(slice.size(), 0.0);
-        for (size_t m = 0; m < members->size(); ++m) {
+        for (MscnModel& member : members_) {
           member_estimates.clear();
-          (*members)[m].Predict(batch, tape, &member_estimates);
+          member.Predict(batch, tape, &member_estimates);
           for (size_t i = 0; i < slice.size(); ++i) {
             log_sums[i] += std::log(std::max(1.0, member_estimates[i]));
           }
         }
         for (size_t i = 0; i < slice.size(); ++i) {
           estimates[begin + i] =
-              std::exp(log_sums[i] / static_cast<double>(members->size()));
+              std::exp(log_sums[i] / static_cast<double>(members_.size()));
         }
       });
   return estimates;

@@ -10,14 +10,12 @@
 #ifndef LC_CORE_ENSEMBLE_H_
 #define LC_CORE_ENSEMBLE_H_
 
-#include <memory>
 #include <vector>
 
 #include "core/mscn_estimator.h"
 #include "core/trainer.h"
 #include "est/estimator.h"
 #include "util/parallel.h"
-#include "util/swap_handle.h"
 
 namespace lc {
 
@@ -69,32 +67,13 @@ class MscnEnsemble : public CardinalityEstimator {
       const std::vector<const LabeledQuery*>& queries, size_t batch_size,
       ThreadPool* pool = ThreadPool::Global());
 
-  /// Atomically publishes a replacement member set (each trained off to
-  /// the side, e.g. via Trainer::TrainClone) and returns the superseded
-  /// one — the ensemble analogue of MscnEstimator::SwapModel. In-flight
-  /// EstimateAll/Estimate calls finish against the snapshot they loaded.
-  /// All replacement members must share the featurizer's dims.
-  std::shared_ptr<std::vector<MscnModel>> SwapMembers(
-      std::shared_ptr<std::vector<MscnModel>> fresh);
-
-  /// The currently published member set; stays valid for as long as the
-  /// caller holds the snapshot, even across SwapMembers.
-  std::shared_ptr<std::vector<MscnModel>> members_snapshot() const {
-    return members_.Load();
-  }
-
-  int size() const { return static_cast<int>(members_.Load()->size()); }
-  /// Reference into the currently published member set. NOT safe against
-  /// a concurrent or later SwapMembers: once the handle and every
-  /// snapshot drop the set, the reference dangles (a swap landing between
-  /// this call and the use of its result is enough). Use it only where no
-  /// swap can intervene — setup/test code — and hold members_snapshot()
-  /// yourself anywhere swaps are possible.
+  int size() const { return static_cast<int>(members_.size()); }
+  /// The `index`-th member model, in seed order.
   MscnModel& member(int index);
 
  private:
   const Featurizer* featurizer_;
-  SwapHandle<std::vector<MscnModel>> members_;
+  std::vector<MscnModel> members_;
   // Serving workspace shared by all members and reused across calls (see
   // nn/tape.h); makes the ensemble stateful like MscnEstimator — a single
   // instance must not serve concurrent calls.

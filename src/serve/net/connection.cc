@@ -12,7 +12,6 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "util/check.h"
-#include "util/str.h"
 
 namespace lc {
 namespace serve {
@@ -27,17 +26,17 @@ constexpr size_t kMaxWriteIov = 64;
 }  // namespace
 
 Connection::Connection(int fd, const std::shared_ptr<EventLoop>& loop,
-                       EstimatorServer* server, Options options,
+                       EstimatorServer* server, size_t write_high_water,
                        NetCounters* counters,
                        std::function<void(int fd)> on_close)
     : fd_(fd),
       loop_(loop.get()),
       weak_loop_(loop),
       server_(server),
-      options_(options),
+      write_high_water_(write_high_water),
       counters_(counters),
       on_close_(std::move(on_close)),
-      framer_(options.max_line),
+      framer_(kMaxRequestLineBytes),
       last_activity_(std::chrono::steady_clock::now()) {
   LC_CHECK_GE(fd, 0);
 }
@@ -104,9 +103,7 @@ bool Connection::DrainSocketReads() {
             id = next_id_++;
           }
           Response response;
-          response.status = Status::InvalidArgument(
-              Format("request line exceeds the %zu byte limit",
-                     framer_.max_line()));
+          response.status = RequestLineTooLong();
           CompleteSlot(id, FormatResponse(response));
           continue;
         }
@@ -244,12 +241,12 @@ void Connection::TryWrite() {
   }
 
   const size_t backlog = pending_bytes_ - front_offset_;
-  if (!read_paused_ && backlog > options_.write_high_water) {
+  if (!read_paused_ && backlog > write_high_water_) {
     // Kernel buffer full and a high-water backlog on top: stop framing new
     // requests from this client until it drains what it already asked for.
     read_paused_ = true;
     counters_->read_pauses.fetch_add(1, std::memory_order_relaxed);
-  } else if (read_paused_ && backlog <= options_.write_high_water / 2) {
+  } else if (read_paused_ && backlog <= write_high_water_ / 2) {
     read_paused_ = false;
   }
 }

@@ -85,17 +85,13 @@ struct NetCounters {
 
 class Connection : public std::enable_shared_from_this<Connection> {
  public:
-  struct Options {
-    size_t max_line = 1 << 16;
-    // Pause reads when the unsent output exceeds this; resume at half.
-    size_t write_high_water = 1 << 20;
-  };
-
-  /// `on_close` runs on the loop thread exactly once, after the fd is
-  /// closed and unwatched — the server uses it to drop its map entry.
+  /// Reads pause while the unsent output exceeds `write_high_water` and
+  /// resume at half of it. `on_close` runs on the loop thread exactly
+  /// once, after the fd is closed and unwatched — the server uses it to
+  /// drop its map entry.
   Connection(int fd, const std::shared_ptr<EventLoop>& loop,
-             EstimatorServer* server, Options options, NetCounters* counters,
-             std::function<void(int fd)> on_close);
+             EstimatorServer* server, size_t write_high_water,
+             NetCounters* counters, std::function<void(int fd)> on_close);
   ~Connection();
 
   Connection(const Connection&) = delete;
@@ -157,7 +153,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
   EventLoop* const loop_;
   const std::weak_ptr<EventLoop> weak_loop_;
   EstimatorServer* const server_;
-  const Options options_;
+  const size_t write_high_water_;
   NetCounters* const counters_;
   std::function<void(int)> on_close_;
 

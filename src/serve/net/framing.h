@@ -60,8 +60,6 @@ class LineFramer {
   /// True while skipping the remainder of an oversize line.
   bool discarding() const { return discarding_; }
 
-  size_t max_line() const { return max_line_; }
-
  private:
   const size_t max_line_;
   std::string partial_;

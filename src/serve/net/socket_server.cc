@@ -23,6 +23,15 @@ namespace {
 // owning loop retries accepting (closes free descriptors in the meantime).
 constexpr int kAcceptBackoffMs = 100;
 
+// Most connections accepted per listener readiness event. Bounds how long
+// an accept flood can starve a loop's connection handlers; the
+// level-triggered poller re-reports the listener while the backlog is
+// non-empty, so nothing is lost when the cap is hit.
+constexpr int kAcceptBatch = 16;
+
+// listen(2) backlog, per listener.
+constexpr int kListenBacklog = 128;
+
 std::vector<std::string> SplitListenSpecs(const std::string& specs) {
   std::vector<std::string> out;
   for (const std::string& piece : Split(specs, ',')) {
@@ -67,11 +76,6 @@ SocketServerConfig SocketServerConfig::FromEnv() {
   config.listen = SplitListenSpecs(GetEnvString("LC_SERVE_LISTEN", ""));
   config.loops = static_cast<int>(
       std::max<int64_t>(0, GetEnvInt("LC_SERVE_LOOPS", config.loops)));
-  config.accept_batch = static_cast<int>(std::max<int64_t>(
-      1, GetEnvInt("LC_SERVE_ACCEPT_BATCH", config.accept_batch)));
-  config.max_line = static_cast<size_t>(std::max<int64_t>(
-      16, GetEnvInt("LC_SERVE_MAX_LINE",
-                    static_cast<int64_t>(config.max_line))));
   config.idle_timeout_ms = std::max<int64_t>(
       0, GetEnvInt("LC_SERVE_IDLE_TIMEOUT_MS", config.idle_timeout_ms));
   config.stats_interval_ms = std::max<int64_t>(
@@ -121,7 +125,7 @@ Status SocketServer::Start() {
     if (endpoint.kind == Endpoint::Kind::kUnix) {
       // One listener on loop 0; accepted fds are handed off round-robin.
       StatusOr<std::unique_ptr<Listener>> listener =
-          Listener::Bind(endpoint, config_.backlog);
+          Listener::Bind(endpoint, kListenBacklog);
       if (!listener.ok()) {
         status = listener.status();
         break;
@@ -135,7 +139,7 @@ Status SocketServer::Start() {
     // the resolved endpoint. A single loop needs no REUSEPORT at all.
     const bool reuse_port = loops_ > 1;
     StatusOr<std::unique_ptr<Listener>> first =
-        Listener::Bind(endpoint, config_.backlog, reuse_port);
+        Listener::Bind(endpoint, kListenBacklog, reuse_port);
     if (!first.ok()) {
       status = first.status();
       break;
@@ -145,7 +149,7 @@ Status SocketServer::Start() {
     shards_[0]->listeners.push_back(std::move(first).value());
     for (int i = 1; i < loops_ && status.ok(); ++i) {
       StatusOr<std::unique_ptr<Listener>> peer =
-          Listener::Bind(resolved, config_.backlog, /*reuse_port=*/true);
+          Listener::Bind(resolved, kListenBacklog, /*reuse_port=*/true);
       if (!peer.ok()) {
         status = peer.status();
         break;
@@ -200,11 +204,11 @@ Status SocketServer::Start() {
 
 void SocketServer::OnListenerReadable(LoopShard* shard, Listener* listener) {
   if (stopping_.load(std::memory_order_acquire)) return;
-  // Drain up to accept_batch pending connections per readiness event:
+  // Drain up to kAcceptBatch pending connections per readiness event:
   // enough to amortize the wakeup under a connection flood, bounded so the
   // flood cannot starve this loop's established connections. Level
   // triggering re-reports a still-non-empty backlog on the next wait.
-  for (int batch = 0; batch < config_.accept_batch; ++batch) {
+  for (int batch = 0; batch < kAcceptBatch; ++batch) {
     AcceptResult result;
     const int fd = listener->Accept(&result);
     if (fd < 0) {
@@ -249,11 +253,8 @@ void SocketServer::AdoptFd(LoopShard* shard, int fd) {
     (void)setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &config_.so_sndbuf,
                      sizeof(config_.so_sndbuf));
   }
-  Connection::Options options;
-  options.max_line = config_.max_line;
-  options.write_high_water = config_.write_high_water;
   auto connection = std::make_shared<Connection>(
-      fd, shard->loop, server_, options, &counters_,
+      fd, shard->loop, server_, config_.write_high_water, &counters_,
       [this, shard](int closed_fd) {
         shard->connections.erase(closed_fd);
         MarkLoopDrainedIfDone(shard);

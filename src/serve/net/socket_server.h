@@ -72,15 +72,6 @@ struct SocketServerConfig {
   /// listener per loop; unix endpoints accept on loop 0 and hand fds off
   /// round-robin. 1 reproduces the pre-sharding single-loop server.
   int loops = 0;
-  /// Most connections accepted per listener readiness event
-  /// (LC_SERVE_ACCEPT_BATCH, default 16). Bounds how long an accept flood
-  /// can starve a loop's connection handlers; the level-triggered poller
-  /// re-reports the listener while the backlog is non-empty, so nothing
-  /// is lost when the batch cap is hit.
-  int accept_batch = 16;
-  /// Longest accepted request line in bytes (LC_SERVE_MAX_LINE, default
-  /// 65536). Longer lines get one ERR and are discarded to the newline.
-  size_t max_line = 1 << 16;
   /// Close connections quiet for this long that owe no responses
   /// (LC_SERVE_IDLE_TIMEOUT_MS, default 60000; 0 disables reaping).
   int64_t idle_timeout_ms = 60000;
@@ -90,8 +81,6 @@ struct SocketServerConfig {
   /// Per-connection unsent-output bound before reads pause
   /// (LC_SERVE_WRITE_BUFFER, default 1 MiB).
   size_t write_high_water = 1 << 20;
-  /// listen(2) backlog (per listener).
-  int backlog = 128;
   /// Shutdown drain deadline before stragglers are force-closed
   /// (LC_SERVE_DRAIN_TIMEOUT_MS, default 30000). One deadline for the
   /// whole concurrent multi-loop drain, not one per loop.

@@ -25,13 +25,13 @@ std::string SanitizeForLine(std::string_view text) {
 
 }  // namespace
 
-StatusOr<std::string> ParseRequestLine(std::string_view line,
-                                       size_t max_bytes) {
-  if (line.size() > max_bytes) {
-    return Status::InvalidArgument(
-        Format("request line of %zu bytes exceeds the %zu byte limit",
-               line.size(), max_bytes));
-  }
+Status RequestLineTooLong() {
+  return Status::InvalidArgument(Format(
+      "request line exceeds the %zu byte limit", kMaxRequestLineBytes));
+}
+
+StatusOr<std::string> ParseRequestLine(std::string_view line) {
+  if (line.size() > kMaxRequestLineBytes) return RequestLineTooLong();
   std::string text = Trim(line);
   if (text.empty()) {
     return Status::InvalidArgument("empty request line");
@@ -54,6 +54,17 @@ std::string FormatResponse(const Response& response) {
   }
   return Format("EST %.17g us=%.1f cache=%s", response.estimate,
                 response.latency_us, response.cache_hit ? "hit" : "miss");
+}
+
+StatusOr<double> ParseEstimate(std::string_view line) {
+  constexpr std::string_view kPrefix = "EST ";
+  if (line.substr(0, kPrefix.size()) != kPrefix) {
+    return Status::InvalidArgument("not an EST response line");
+  }
+  line.remove_prefix(kPrefix.size());
+  double estimate = 0.0;
+  LC_RETURN_IF_ERROR(ParseDouble(line.substr(0, line.find(' ')), &estimate));
+  return estimate;
 }
 
 namespace {

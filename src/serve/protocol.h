@@ -23,6 +23,7 @@
 #ifndef LC_SERVE_PROTOCOL_H_
 #define LC_SERVE_PROTOCOL_H_
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -40,17 +41,31 @@ struct Response {
   double latency_us = 0.0; // Admission to completion (steady clock).
 };
 
+/// Longest request line in bytes, excluding its '\n' terminator (a '\r'
+/// before it counts). The one length bound of the protocol:
+/// ParseRequestLine enforces it on every line, and the socket transport's
+/// framer stops buffering a line that crosses it, so one hostile client
+/// cannot force unbounded allocation downstream.
+constexpr size_t kMaxRequestLineBytes = 1 << 16;
+
+/// The rejection of a request line longer than kMaxRequestLineBytes. The
+/// same status whether ParseRequestLine sees the whole line or the socket
+/// framer rejects it as it crosses the bound.
+Status RequestLineTooLong();
+
 /// Extracts the query text from one request line: trims ASCII whitespace,
-/// rejects empty lines and lines beyond `max_bytes` (a length bound keeps
-/// one hostile client from forcing unbounded allocation downstream).
-StatusOr<std::string> ParseRequestLine(std::string_view line,
-                                       size_t max_bytes = 1 << 16);
+/// rejects empty lines and lines beyond kMaxRequestLineBytes.
+StatusOr<std::string> ParseRequestLine(std::string_view line);
 
 /// Renders a response line: "EST <estimate> us=<latency> cache=<hit|miss>"
 /// on success, "ERR <CodeName> <message>" otherwise. Estimates print with
 /// %.17g so the line round-trips the double exactly (the bit-match
 /// guarantee of the serving path is observable through the protocol).
 std::string FormatResponse(const Response& response);
+
+/// Reads the estimate back from an "EST ..." line of FormatResponse,
+/// bit-exact; any other line (ERR, OK, garbage) is InvalidArgument.
+StatusOr<double> ParseEstimate(std::string_view line);
 
 /// True when a (ParseRequestLine-cleaned) request is an operator command
 /// rather than query text.

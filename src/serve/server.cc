@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <future>
 #include <utility>
 
 #if defined(__linux__)
@@ -21,8 +22,31 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock;
 
+// Background CPU priority of the retrain thread: the lowest. Clone-training
+// is throughput work and serving owns the cores.
+constexpr int kRetrainNice = 19;
+
 double MicrosSince(SteadyClock::time_point start, SteadyClock::time_point now) {
   return std::chrono::duration<double, std::micro>(now - start).count();
+}
+
+Status Overloaded() {
+  return Status::Unavailable(
+      "admission queue full: server overloaded, retry later");
+}
+
+Status ShuttingDown() {
+  return Status::Unavailable("server is shutting down");
+}
+
+// Every rejection goes through here: counts it in its outcome `bucket` and
+// answers `done` with the ERR line.
+void Reject(Status status, std::atomic<uint64_t>* bucket,
+            const std::function<void(std::string)>& done) {
+  bucket->fetch_add(1, std::memory_order_relaxed);
+  Response response;
+  response.status = std::move(status);
+  done(FormatResponse(response));
 }
 
 }  // namespace
@@ -73,38 +97,42 @@ EstimatorServer::EstimatorServer(MscnEstimator* estimator,
 
 EstimatorServer::~EstimatorServer() { Shutdown(); }
 
-void EstimatorServer::SubmitAsync(std::string_view query_text,
-                                  CompletionFn done) {
+void EstimatorServer::HandleLineAsync(std::string_view line,
+                                      std::function<void(std::string)> done) {
+  // Entered concurrently from every transport event loop (plus in-process
+  // HandleLine callers): nothing below this line may assume a single caller
+  // thread — the counters are atomics, the BoundedQueue admission path
+  // locks internally, and admin verbs take admin_mu_. That keeps the Stats
+  // invariant exact with the transport sharded across LC_SERVE_LOOPS
+  // threads: each line is counted here once, and lands in one bucket below.
   received_.fetch_add(1, std::memory_order_relaxed);
   const SteadyClock::time_point admitted = SteadyClock::now();
 
-  const auto resolve = [&](Response response,
-                           std::atomic<uint64_t>* counter) {
-    if (counter != nullptr) counter->fetch_add(1, std::memory_order_relaxed);
-    response.latency_us = MicrosSince(admitted, SteadyClock::now());
-    done(std::move(response));
-  };
-  const auto reject = [&](Status status, std::atomic<uint64_t>* counter) {
-    Response response;
-    response.status = std::move(status);
-    resolve(std::move(response), counter);
-  };
-
+  StatusOr<std::string> text = ParseRequestLine(line);
+  if (!text.ok()) {
+    Reject(text.status(), &rejected_malformed_, done);
+    return;
+  }
+  // Admin lines resolve inline: STATS is a counter read and RETRAIN only
+  // kicks a background thread — neither blocks the calling event loop.
+  if (IsAdminRequest(*text)) {
+    done(HandleAdmin(*text));
+    return;
+  }
   if (stopping_.load(std::memory_order_acquire)) {
-    reject(Status::Unavailable("server is shutting down"),
-           &rejected_shutdown_);
+    Reject(ShuttingDown(), &rejected_shutdown_, done);
     return;
   }
 
-  StatusOr<Query> parsed = Query::Deserialize(query_text);
+  StatusOr<Query> parsed = Query::Deserialize(*text);
   if (!parsed.ok()) {
-    reject(parsed.status(), &rejected_malformed_);
+    Reject(parsed.status(), &rejected_malformed_, done);
     return;
   }
   const Query query = std::move(parsed).value();
   Status valid = query.Validate(*schema_);
   if (!valid.ok()) {
-    reject(std::move(valid), &rejected_malformed_);
+    Reject(std::move(valid), &rejected_malformed_, done);
     return;
   }
 
@@ -112,10 +140,12 @@ void EstimatorServer::SubmitAsync(std::string_view query_text,
   // queue, and the batching window entirely.
   double cached = 0.0;
   if (estimator_->ProbeCache(query.CanonicalKey(), &cached)) {
+    admission_hits_.fetch_add(1, std::memory_order_relaxed);
     Response response;
     response.estimate = cached;
     response.cache_hit = true;
-    resolve(std::move(response), &admission_hits_);
+    response.latency_us = MicrosSince(admitted, SteadyClock::now());
+    done(FormatResponse(response));
     return;
   }
 
@@ -125,9 +155,7 @@ void EstimatorServer::SubmitAsync(std::string_view query_text,
   // lanes (a momentarily-full queue may drain before TryPush), so it only
   // sheds — TryPush below stays the authoritative admission decision.
   if (queue_.size() >= config_.queue_capacity) {
-    reject(Status::Unavailable(
-               "admission queue full: server overloaded, retry later"),
-           &rejected_overload_);
+    Reject(Overloaded(), &rejected_overload_, done);
     return;
   }
 
@@ -142,39 +170,14 @@ void EstimatorServer::SubmitAsync(std::string_view query_text,
   switch (queue_.TryPush(&pending)) {
     case QueuePush::kAccepted:
       return;
-    case QueuePush::kFull: {
-      rejected_overload_.fetch_add(1, std::memory_order_relaxed);
-      Response response;
-      response.status = Status::Unavailable(
-          "admission queue full: server overloaded, retry later");
-      response.latency_us = MicrosSince(admitted, SteadyClock::now());
-      pending->done(std::move(response));
+    case QueuePush::kFull:
+      Reject(Overloaded(), &rejected_overload_, pending->done);
       return;
-    }
-    case QueuePush::kClosed: {
-      rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
-      Response response;
-      response.status = Status::Unavailable("server is shutting down");
-      response.latency_us = MicrosSince(admitted, SteadyClock::now());
-      pending->done(std::move(response));
+    case QueuePush::kClosed:
+      Reject(ShuttingDown(), &rejected_shutdown_, pending->done);
       return;
-    }
   }
   LC_CHECK(false) << "unreachable";
-}
-
-std::future<Response> EstimatorServer::SubmitAsync(
-    std::string_view query_text) {
-  auto promise = std::make_shared<std::promise<Response>>();
-  std::future<Response> future = promise->get_future();
-  SubmitAsync(query_text, [promise](Response response) {
-    promise->set_value(std::move(response));
-  });
-  return future;
-}
-
-Response EstimatorServer::Submit(std::string_view query_text) {
-  return SubmitAsync(query_text).get();
 }
 
 std::string EstimatorServer::HandleLine(std::string_view line) {
@@ -184,34 +187,6 @@ std::string EstimatorServer::HandleLine(std::string_view line) {
     promise->set_value(std::move(response));
   });
   return future.get();
-}
-
-void EstimatorServer::HandleLineAsync(
-    std::string_view line, std::function<void(std::string)> done) {
-  // Entered concurrently from every transport event loop (plus in-process
-  // Submit callers): nothing below this line may assume a single caller
-  // thread — the counters are atomics, the BoundedQueue admission path
-  // locks internally, and admin verbs take admin_mu_. That keeps the Stats
-  // invariant
-  // exact with the transport sharded across LC_SERVE_LOOPS threads.
-  StatusOr<std::string> text = ParseRequestLine(line);
-  if (!text.ok()) {
-    received_.fetch_add(1, std::memory_order_relaxed);
-    rejected_malformed_.fetch_add(1, std::memory_order_relaxed);
-    Response response;
-    response.status = text.status();
-    done(FormatResponse(response));
-    return;
-  }
-  // Admin lines resolve inline: STATS is a counter read and RETRAIN only
-  // kicks a background thread — neither blocks the calling event loop.
-  if (IsAdminRequest(*text)) {
-    done(HandleAdmin(*text));
-    return;
-  }
-  SubmitAsync(*text, [done = std::move(done)](Response response) {
-    done(FormatResponse(response));
-  });
 }
 
 std::string EstimatorServer::FormatStatsLine() {
@@ -240,7 +215,6 @@ void EstimatorServer::set_retrain_fn(RetrainFn fn) {
 }
 
 std::string EstimatorServer::HandleAdmin(std::string_view text) {
-  received_.fetch_add(1, std::memory_order_relaxed);
   admin_requests_.fetch_add(1, std::memory_order_relaxed);
   StatusOr<std::string> verb = ParseAdminVerb(text);
   // Malformed admin lines count as admin_requests only — never also as
@@ -261,8 +235,7 @@ std::string EstimatorServer::HandleAdmin(std::string_view text) {
           Status::Unimplemented("no retrain hook configured"), "");
     }
     if (stopping_.load(std::memory_order_acquire)) {
-      return FormatAdminResponse(
-          Status::Unavailable("server is shutting down"), "");
+      return FormatAdminResponse(ShuttingDown(), "");
     }
     if (retrain_in_flight_.load(std::memory_order_acquire)) {
       return FormatAdminResponse(
@@ -279,20 +252,12 @@ std::string EstimatorServer::HandleAdmin(std::string_view text) {
     // rejects). It runs a by-value copy taken under admin_mu_ instead.
     retrain_thread_ = std::thread([this, retrain = retrain_fn_] {
 #if defined(__linux__)
-      // Background CPU priority for the retrain: clone-training is
-      // throughput work, serving owns the cores. Nice is per-thread on
-      // Linux and inherited by threads the trainer spawns (the
-      // featurization producer), so on a saturated machine the retrain
-      // soaks up idle cycles instead of the serving path's
-      // (LC_SERVE_RETRAIN_NICE, default 19 = lowest; 0 disables).
-      const int nice_level = static_cast<int>(
-          GetEnvInt("LC_SERVE_RETRAIN_NICE", 19));
-      if (nice_level != 0) {
-        // Raising one's own nice never needs privileges; ignore failure.
-        (void)setpriority(PRIO_PROCESS,
-                          static_cast<id_t>(syscall(SYS_gettid)),
-                          nice_level);
-      }
+      // Nice is per-thread on Linux and inherited by threads the trainer
+      // spawns (the featurization producer), so on a saturated machine the
+      // retrain soaks up idle cycles instead of the serving path's.
+      // Raising one's own nice never needs privileges; ignore failure.
+      (void)setpriority(PRIO_PROCESS, static_cast<id_t>(syscall(SYS_gettid)),
+                        kRetrainNice);
 #endif
       // Off every lane and every lock: the hook clone-trains in the
       // background while serving continues, then publishes with an atomic
@@ -356,7 +321,7 @@ void EstimatorServer::LaneLoop(LaneStats* stats) {
       response.estimate = estimates[i];
       response.cache_hit = cache_hits[i] != 0;
       response.latency_us = MicrosSince(batch[i]->admitted, done);
-      batch[i]->done(std::move(response));
+      batch[i]->done(FormatResponse(response));
     }
   }
 }
@@ -378,16 +343,12 @@ void EstimatorServer::Shutdown() {
     if (retrain_thread_.joinable()) retrain_thread_.join();
   }
   // With lanes == 0 (tests) nothing drained the queue: resolve the
-  // leftovers with a typed rejection so no future is silently abandoned.
+  // leftovers with a typed rejection so no callback is silently abandoned.
   std::unique_ptr<Pending> leftover;
   while (queue_.TryPop(&leftover)) {
-    rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
-    Response response;
-    response.status =
-        Status::Unavailable("server shut down before the request was served");
-    response.latency_us =
-        MicrosSince(leftover->admitted, SteadyClock::now());
-    leftover->done(std::move(response));
+    Reject(Status::Unavailable(
+               "server shut down before the request was served"),
+           &rejected_shutdown_, leftover->done);
   }
 }
 

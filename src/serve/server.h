@@ -3,18 +3,22 @@
 // cardinality estimate, built so the batched SIMD inference path — not the
 // single-query one — is what traffic exercises.
 //
-// Request lifecycle (see docs/ARCHITECTURE.md, "Serving"):
+// Request lifecycle (see docs/ARCHITECTURE.md, "Serving"). One core,
+// HandleLineAsync(line, done), runs the whole path on the calling thread up
+// to admission; HandleLine(line) is its blocking wrapper:
 //
-//   Submit(text)
-//     parse (strict)  → Query::Deserialize             ERR InvalidArgument/
-//     validate        → Query::Validate(schema)            Corruption
-//     cache probe     → MscnEstimator::ProbeCache      hit: reply in ~1µs
+//   HandleLineAsync(line, done)
+//     line            → ParseRequestLine                 ERR InvalidArgument
+//     admin           → HandleAdmin                      OK/ERR inline
+//     parse (strict)  → Query::Deserialize               ERR InvalidArgument/
+//     validate        → Query::Validate(schema)              Corruption
+//     cache probe     → MscnEstimator::ProbeCache        hit: reply in ~1µs
 //     annotate        → LabelQuery (sample bitmaps)
-//     admit           → BoundedQueue::TryPush          full: ERR Unavailable
+//     admit           → BoundedQueue::TryPush            full: ERR Unavailable
 //   lane (worker thread)
 //     drain           → Pop + PopUntil(batching window), ≤ max_batch items
 //     score           → MscnEstimator::EstimateBatch (one forward pass)
-//     reply           → fulfill each request's future
+//     reply           → done(FormatResponse(...)) per request
 //
 // Determinism: batching never changes results. EstimateBatch scores misses
 // with padding-masked batches whose per-query forward pass is independent
@@ -30,7 +34,7 @@
 //
 // Shutdown: Close() on the queue stops admission; lanes drain every
 // already-accepted request before exiting, so a request either gets its
-// estimate or a typed rejection — never a silently dropped future.
+// estimate or a typed rejection — never a silently dropped callback.
 
 #ifndef LC_SERVE_SERVER_H_
 #define LC_SERVE_SERVER_H_
@@ -39,7 +43,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -66,7 +69,7 @@ struct ServerConfig {
   /// Shutdown fails them.
   int lanes = 2;
   /// Admission queue capacity (LC_SERVE_QUEUE, default 256). Beyond this,
-  /// Submit rejects with Unavailable (backpressure).
+  /// a query line is answered ERR Unavailable (backpressure).
   size_t queue_capacity = 256;
   /// Most queries one forward pass scores (LC_SERVE_BATCH, default 32).
   size_t max_batch = 32;
@@ -83,7 +86,7 @@ struct ServerConfig {
 /// lane stats are merged under their locks).
 ///
 /// Coherence invariant (pinned by tests/serve_socket_test.cc with traffic
-/// arriving concurrently from Submit callers and socket connections — since
+/// arriving concurrently from HandleLine callers and socket connections — since
 /// the transport sharded, that means from N event-loop threads at once, and
 /// the invariant must stay EXACT across loops, not per loop): every
 /// received request lands in exactly one outcome bucket, so at quiescence
@@ -92,8 +95,8 @@ struct ServerConfig {
 /// (admin lines are their own bucket whatever their outcome — a malformed
 /// admin verb does NOT also count as rejected_malformed).
 struct Stats {
-  uint64_t received = 0;            // Submit/HandleLine calls.
-  uint64_t rejected_malformed = 0;  // Parse or validation failures.
+  uint64_t received = 0;            // HandleLineAsync calls (every line).
+  uint64_t rejected_malformed = 0;  // Line, parse or validation failures.
   uint64_t rejected_overload = 0;   // Queue full.
   uint64_t rejected_shutdown = 0;   // Admission after Shutdown.
   uint64_t served = 0;              // OK responses.
@@ -126,45 +129,25 @@ class EstimatorServer {
   EstimatorServer(const EstimatorServer&) = delete;
   EstimatorServer& operator=(const EstimatorServer&) = delete;
 
-  /// Parses, validates, annotates and admits one query text; blocks until
-  /// the response is ready (closed-loop client). Rejections resolve
-  /// immediately with a typed non-OK status.
-  Response Submit(std::string_view query_text);
-
-  /// Like Submit but returns the future instead of waiting on it, so one
-  /// client thread can keep many requests in flight (the load generator's
-  /// open-loop mode and the shutdown/backpressure tests).
-  std::future<Response> SubmitAsync(std::string_view query_text);
-
-  /// Completion a request resolves with: runs exactly once, on whatever
-  /// thread finishes the request — the submitting thread for rejections,
-  /// cache hits and admin lines, a worker lane for batched estimates, or
-  /// the shutdown path for drained leftovers. Must not block: lanes call
-  /// it between batches and the socket event loop behind it multiplexes
-  /// every other connection.
-  using CompletionFn = std::function<void(Response)>;
-
-  /// Callback-style Submit, the transport building block: parses,
-  /// validates, annotates and admits like Submit, but resolves through
-  /// `done` instead of a future, so the caller (the socket event loop)
-  /// never blocks on a batching window.
-  void SubmitAsync(std::string_view query_text, CompletionFn done);
-
-  /// Full line protocol: request line in, response line out. Query lines
-  /// go through Submit; "ADMIN <VERB>" lines are operator commands
-  /// (RETRAIN kicks a background copy-train-swap via the retrain hook,
-  /// STATS answers a one-line counter snapshot).
-  std::string HandleLine(std::string_view line);
-
-  /// Callback-style HandleLine: `done` receives the one response line
-  /// (unterminated) exactly once, inline for rejections/cache hits/admin
-  /// and from a lane for batched estimates. The socket transport wires
-  /// this to per-connection response slots. Thread-safe and called
+  /// The request path: one protocol line in, one response line out.
+  /// `done` receives the response line (unterminated) exactly once, on
+  /// whatever thread finishes the request — the calling thread for
+  /// rejections, cache hits and admin lines, a worker lane for batched
+  /// estimates, or the shutdown path for drained leftovers. Query lines are
+  /// parsed, validated, probed against the cache, annotated and admitted;
+  /// "ADMIN <VERB>" lines are operator commands (RETRAIN kicks a background
+  /// copy-train-swap via the retrain hook, STATS answers a one-line counter
+  /// snapshot). Never blocks on the batching window, so `done` must not
+  /// block either: lanes call it between batches, and the socket event loop
+  /// behind it multiplexes every other connection. Thread-safe and called
   /// concurrently from every transport event loop (LC_SERVE_LOOPS of
-  /// them); "inline" then means on whichever loop thread delivered the
-  /// line, so a callback must not assume a particular loop.
+  /// them), so a callback must not assume a particular loop.
   void HandleLineAsync(std::string_view line,
                        std::function<void(std::string)> done);
+
+  /// Blocking HandleLineAsync for closed-loop callers: returns the response
+  /// line once it is ready.
+  std::string HandleLine(std::string_view line);
 
   /// One-line counter snapshot ("received=... served=..."), the payload of
   /// ADMIN STATS and the socket transport's periodic stats log.
@@ -185,7 +168,7 @@ class EstimatorServer {
 
   /// Stops admission, drains every accepted request through the lanes,
   /// joins them. Idempotent; also run by the destructor. After Shutdown,
-  /// Submit rejects with Unavailable.
+  /// query lines are answered ERR Unavailable.
   void Shutdown() LC_EXCLUDES(shutdown_mu_, admin_mu_);
   bool stopped() const { return stopping_.load(std::memory_order_acquire); }
 
@@ -195,7 +178,7 @@ class EstimatorServer {
  private:
   struct Pending {
     LabeledQuery labeled;
-    CompletionFn done;
+    std::function<void(std::string)> done;
     std::chrono::steady_clock::time_point admitted;
   };
   struct LaneStats {

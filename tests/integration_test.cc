@@ -123,9 +123,11 @@ TEST_F(IntegrationTest, MscnIsCompetitiveAtTheTail) {
   // The paper's central quantitative claim, checked directionally: with an
   // adequately trained model, MSCN's 95th-percentile and mean q-errors on
   // the synthetic workload are in the ballpark of the best baseline or
-  // better (at bench scale MSCN clearly wins; see EXPERIMENTS.md). The mini
-  // config is too small for a stable win, so this test uses a larger
-  // training budget than the other integration tests.
+  // better (at bench scale MSCN clearly wins; see
+  // bench/table2_synthetic_errors.cc and docs/ARCHITECTURE.md "Design
+  // deviations from the paper"). The mini config is too small for a stable
+  // win, so this test uses a larger training budget than the other
+  // integration tests.
   ExperimentConfig config = MiniConfig();
   config.train_queries = 4000;
   config.mscn.epochs = 24;

@@ -19,8 +19,9 @@
 //    level-triggered spin) and recovers once descriptors free up;
 //  - idle reaping and write backpressure (a client that will not read its
 //    responses pauses its own reads instead of growing server memory);
-//  - Stats coherence with traffic arriving concurrently from Submit
-//    callers and socket connections (the received == Σ buckets invariant);
+//  - Stats coherence with traffic arriving concurrently from in-process
+//    HandleLine callers and socket connections (the received == Σ buckets
+//    invariant);
 //  - multi-loop sharding (the MultiLoop* and UnixHandoff* tests force
 //    LC_SERVE_LOOPS=4): bit-match and ordered pipelining with connections
 //    spread across 4 event loops, the unix accept-and-hand-off round-robin
@@ -46,6 +47,7 @@
 #include <cstring>
 #include <functional>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -198,13 +200,12 @@ SocketServerConfig NetConfig(std::vector<std::string> listen) {
   return config;
 }
 
-double ParseEstimate(const std::string& line) {
-  EXPECT_TRUE(StartsWith(line, "EST ")) << line;
-  std::string_view text = std::string_view(line).substr(4);
-  text = text.substr(0, text.find(' '));
-  double value = 0.0;
-  EXPECT_TRUE(ParseDouble(text, &value).ok()) << line;
-  return value;
+// The estimate of an "EST ..." response line, bit-exact (%.17g); any other
+// line fails the test and reads as NaN, which equals no estimate.
+double EstimateOf(const std::string& line) {
+  const StatusOr<double> estimate = serve::ParseEstimate(line);
+  EXPECT_TRUE(estimate.ok()) << line;
+  return estimate.ok() ? *estimate : std::numeric_limits<double>::quiet_NaN();
 }
 
 // ---------------------------------------------------------------------------
@@ -310,7 +311,7 @@ TEST_F(ServeSocketTest, TcpAndUnixServeBitIdenticalToDirectEstimateAll) {
       client.SendAll(pointers[i]->query.Serialize() + "\n");
       std::string line;
       ASSERT_TRUE(client.ReadLine(&line)) << endpoint.ToString();
-      EXPECT_EQ(ParseEstimate(line), direct[i])
+      EXPECT_EQ(EstimateOf(line), direct[i])
           << "socket path diverged from EstimateAll at query " << i
           << " over " << endpoint.ToString();
     }
@@ -345,7 +346,7 @@ TEST_F(ServeSocketTest, SingleByteDribbleAndPipelinedBurstAnswerInOrder) {
   }
   std::string line;
   ASSERT_TRUE(client.ReadLine(&line));
-  EXPECT_EQ(ParseEstimate(line), direct[0]);
+  EXPECT_EQ(EstimateOf(line), direct[0]);
 
   // Pipelined burst: 32 requests in ONE write. Cache hits complete inline
   // while misses wait out the batching window on a lane, so responses can
@@ -359,7 +360,7 @@ TEST_F(ServeSocketTest, SingleByteDribbleAndPipelinedBurstAnswerInOrder) {
   const std::vector<std::string> responses = client.ReadLines(kBurst);
   ASSERT_EQ(responses.size(), kBurst);
   for (size_t i = 0; i < kBurst; ++i) {
-    EXPECT_EQ(ParseEstimate(responses[i]), direct[i % kDistinct])
+    EXPECT_EQ(EstimateOf(responses[i]), direct[i % kDistinct])
         << "pipelined response " << i << " out of order";
   }
 
@@ -461,18 +462,19 @@ TEST_F(ServeSocketTest, OversizeLineDrawsOneErrThenConnectionRecovers) {
   config.lanes = 1;
   config.window_us = 0;
   serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
-  SocketServerConfig net_config = NetConfig({"tcp:127.0.0.1:0"});
-  net_config.max_line = 64;
-  SocketServer net(&server, net_config);
+  SocketServer net(&server, NetConfig({"tcp:127.0.0.1:0"}));
   ASSERT_TRUE(net.Start().ok());
   LineClient client = LineClient::Connect(net.endpoints()[0]);
 
   const LabeledQuery* query = QueryPointers(1)[0];
-  // One 200-byte monster (spanning several dribbled sends), then a valid
-  // request on the SAME connection: exactly one ERR, then a normal EST.
-  const std::string monster(200, 'x');
-  client.SendAll(monster.substr(0, 50));
-  client.SendAll(monster.substr(50));
+  // One monster just past the protocol's line bound (spanning several
+  // dribbled sends), then a valid request on the SAME connection: exactly
+  // one ERR, then a normal EST.
+  const std::string monster(serve::kMaxRequestLineBytes + 100, 'x');
+  const size_t third = monster.size() / 3;
+  client.SendAll(monster.substr(0, third));
+  client.SendAll(monster.substr(third, third));
+  client.SendAll(monster.substr(2 * third));
   client.SendAll("\n" + query->query.Serialize() + "\n");
 
   const std::vector<std::string> responses = client.ReadLines(2);
@@ -481,6 +483,9 @@ TEST_F(ServeSocketTest, OversizeLineDrawsOneErrThenConnectionRecovers) {
   EXPECT_NE(responses[0].find("exceeds"), std::string::npos) << responses[0];
   EXPECT_TRUE(StartsWith(responses[1], "EST ")) << responses[1];
   EXPECT_EQ(net.net_stats().oversize_lines, 1u);
+  // One bound, one rejection: the same line handed to the server in
+  // process draws the identical ERR text the framer sent.
+  EXPECT_EQ(server.HandleLine(monster), responses[0]);
 
   net.Shutdown();
   server.Shutdown();
@@ -539,7 +544,7 @@ TEST_F(ServeSocketTest, AdminVerbsOverSocketDuringLiveCopyTrainSwap) {
     client.SendAll(pointers[pick]->query.Serialize() + "\n");
     ASSERT_TRUE(client.ReadLine(&line));
     ASSERT_TRUE(StartsWith(line, "EST ")) << line;
-    observed.push_back(ParseEstimate(line));
+    observed.push_back(EstimateOf(line));
     picks.push_back(pick);
     traffic.fetch_add(1, std::memory_order_release);
   }
@@ -812,7 +817,7 @@ TEST_F(ServeSocketTest, WriteBackpressurePausesReadsWithoutLosingResponses) {
   writer.join();
   ASSERT_EQ(responses.size(), kBlast);
   for (size_t i = 0; i < kBlast; ++i) {
-    ASSERT_EQ(ParseEstimate(responses[i]), direct[i % kDistinct])
+    ASSERT_EQ(EstimateOf(responses[i]), direct[i % kDistinct])
         << "response " << i << " wrong or out of order under backpressure";
   }
 
@@ -820,12 +825,13 @@ TEST_F(ServeSocketTest, WriteBackpressurePausesReadsWithoutLosingResponses) {
   server.Shutdown();
 }
 
-// The Stats coherence satellite: with traffic arriving concurrently from
-// in-process Submit callers and socket connections — including malformed
-// query lines and malformed ADMIN verbs — every received request lands in
-// exactly one outcome bucket. Regression for the double-count bug where a
-// bad admin verb bumped both admin_requests and rejected_malformed.
-TEST_F(ServeSocketTest, StatsStayCoherentUnderMixedSubmitAndSocketTraffic) {
+// Stats coherence: with traffic arriving concurrently from in-process
+// HandleLine callers and socket connections — including malformed query
+// lines, lines ParseRequestLine rejects before any query parse, and
+// malformed ADMIN verbs — every received request lands in exactly one
+// outcome bucket. Regression for the double-count bug where a bad admin
+// verb bumped both admin_requests and rejected_malformed.
+TEST_F(ServeSocketTest, StatsStayCoherentUnderMixedInProcessAndSocketTraffic) {
   MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/64);
   serve::ServerConfig config;
   config.lanes = 2;
@@ -845,16 +851,19 @@ TEST_F(ServeSocketTest, StatsStayCoherentUnderMixedSubmitAndSocketTraffic) {
   for (size_t t = 0; t < kSubmitThreads; ++t) {
     threads.emplace_back([&, t] {
       for (size_t i = 0; i < kPerThread; ++i) {
-        switch (i % 3) {
+        switch (i % 4) {
           case 0:
-            (void)server.Submit(pointers[(t + i) % pointers.size()]
-                                    ->query.Serialize());
+            (void)server.HandleLine(pointers[(t + i) % pointers.size()]
+                                        ->query.Serialize());
             break;
           case 1:
-            (void)server.Submit("garbage");  // rejected_malformed.
+            (void)server.HandleLine("garbage");  // rejected_malformed.
             break;
           case 2:
             (void)server.HandleLine("ADMIN BOGUS");  // admin only.
+            break;
+          case 3:
+            (void)server.HandleLine(" \t ");  // Blank: rejected_malformed.
             break;
         }
       }
@@ -865,7 +874,7 @@ TEST_F(ServeSocketTest, StatsStayCoherentUnderMixedSubmitAndSocketTraffic) {
       LineClient client = LineClient::Connect(endpoint);
       std::string line;
       for (size_t i = 0; i < kPerThread; ++i) {
-        switch (i % 4) {
+        switch (i % 5) {
           case 0:
             client.SendAll(pointers[(t + i) % pointers.size()]
                                ->query.Serialize() +
@@ -879,6 +888,9 @@ TEST_F(ServeSocketTest, StatsStayCoherentUnderMixedSubmitAndSocketTraffic) {
             break;
           case 3:
             client.SendAll("ADMIN \n");  // Malformed verb: admin ONLY.
+            break;
+          case 4:
+            client.SendAll("\n");  // Empty line: rejected_malformed.
             break;
         }
         ASSERT_TRUE(client.ReadLine(&line));
@@ -895,11 +907,13 @@ TEST_F(ServeSocketTest, StatsStayCoherentUnderMixedSubmitAndSocketTraffic) {
             stats.served + stats.rejected_malformed +
                 stats.rejected_overload + stats.rejected_shutdown +
                 stats.admin_requests);
-  // Exact bucket accounting (nothing double-counted): each submit thread
-  // sent 20 admin lines, each socket thread 30 (15 STATS + 15 bad verbs).
-  EXPECT_EQ(stats.admin_requests, kSubmitThreads * 20 + kSocketThreads * 30);
+  // Exact bucket accounting (nothing double-counted): each in-process
+  // thread sent 15 admin lines and 30 malformed ones (15 garbage + 15
+  // blank), each socket thread 24 admin lines (12 STATS + 12 bad verbs) and
+  // 24 malformed ones (12 bad queries + 12 empty lines).
+  EXPECT_EQ(stats.admin_requests, kSubmitThreads * 15 + kSocketThreads * 24);
   EXPECT_EQ(stats.rejected_malformed,
-            kSubmitThreads * 20 + kSocketThreads * 15);
+            kSubmitThreads * 30 + kSocketThreads * 24);
 
   net.Shutdown();
   server.Shutdown();
@@ -943,7 +957,7 @@ TEST_F(ServeSocketTest, MultiLoopServesBitIdenticalOverTcpAndUnix) {
         client.SendAll(pointers[i]->query.Serialize() + "\n");
         std::string line;
         ASSERT_TRUE(client.ReadLine(&line)) << endpoint.ToString();
-        EXPECT_EQ(ParseEstimate(line), direct[i])
+        EXPECT_EQ(EstimateOf(line), direct[i])
             << "sharded socket path diverged from EstimateAll at query "
             << i << " over " << endpoint.ToString();
       }
@@ -997,7 +1011,7 @@ TEST_F(ServeSocketTest, MultiLoopPipelinedBurstsAcross64Connections) {
     const std::vector<std::string> responses = clients[c].ReadLines(kBurst);
     ASSERT_EQ(responses.size(), kBurst) << "connection " << c;
     for (size_t i = 0; i < kBurst; ++i) {
-      ASSERT_EQ(ParseEstimate(responses[i]), direct[(c + i) % kDistinct])
+      ASSERT_EQ(EstimateOf(responses[i]), direct[(c + i) % kDistinct])
           << "connection " << c << " response " << i
           << " wrong or out of order";
     }
@@ -1141,9 +1155,9 @@ TEST_F(ServeSocketTest, MultiLoopStatsCoherenceUnderConcurrentTraffic) {
   ASSERT_TRUE(net.Start().ok());
   const std::vector<Endpoint> endpoints = net.endpoints();
 
-  // Requests now reach EstimatorServer::HandleLineAsync concurrently from
-  // 4 loop threads AND in-process Submit callers; every received line must
-  // still land in exactly one outcome bucket.
+  // Requests reach EstimatorServer::HandleLineAsync concurrently from 4
+  // loop threads AND in-process HandleLine callers; every received line
+  // must still land in exactly one outcome bucket.
   const std::vector<const LabeledQuery*> pointers = QueryPointers(8);
   const size_t kPerThread = 60;
   const size_t kSubmitThreads = 2;
@@ -1154,10 +1168,10 @@ TEST_F(ServeSocketTest, MultiLoopStatsCoherenceUnderConcurrentTraffic) {
     threads.emplace_back([&, t] {
       for (size_t i = 0; i < kPerThread; ++i) {
         if (i % 2 == 0) {
-          (void)server.Submit(
+          (void)server.HandleLine(
               pointers[(t + i) % pointers.size()]->query.Serialize());
         } else {
-          (void)server.Submit("garbage");  // rejected_malformed.
+          (void)server.HandleLine("garbage");  // rejected_malformed.
         }
       }
     });

@@ -17,6 +17,8 @@
 
 #include <atomic>
 #include <future>
+#include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -103,6 +105,26 @@ class ServeTest : public testing::Test {
   static MscnModel* model_;
 };
 
+// The estimate of an "EST ..." response line, bit-exact (%.17g); any other
+// line fails the test and reads as NaN, which equals no estimate.
+double EstimateOf(const std::string& line) {
+  const StatusOr<double> estimate = serve::ParseEstimate(line);
+  EXPECT_TRUE(estimate.ok()) << line;
+  return estimate.ok() ? *estimate : std::numeric_limits<double>::quiet_NaN();
+}
+
+// HandleLineAsync with the response line delivered through a future, for
+// tests that keep many requests in flight from one thread.
+std::future<std::string> HandleLineFuture(serve::EstimatorServer* server,
+                                          const std::string& line) {
+  auto promise = std::make_shared<std::promise<std::string>>();
+  std::future<std::string> future = promise->get_future();
+  server->HandleLineAsync(line, [promise](std::string response) {
+    promise->set_value(std::move(response));
+  });
+  return future;
+}
+
 Database* ServeTest::db_ = nullptr;
 Executor* ServeTest::executor_ = nullptr;
 SampleSet* ServeTest::samples_ = nullptr;
@@ -125,21 +147,21 @@ TEST_F(ServeTest, BatchingWindowCoalescesBurstIntoOneForwardPass) {
   const size_t kBurst = 8;
   const std::vector<const LabeledQuery*> pointers = QueryPointers(kBurst);
   std::atomic<size_t> ready{0};
-  std::vector<serve::Response> responses(kBurst);
+  std::vector<std::string> responses(kBurst);
   std::vector<std::thread> clients;
   for (size_t i = 0; i < kBurst; ++i) {
     clients.emplace_back([&, i] {
       ready.fetch_add(1);
       while (ready.load() < kBurst) std::this_thread::yield();
-      responses[i] = server.Submit(pointers[i]->query.Serialize());
+      responses[i] = server.HandleLine(pointers[i]->query.Serialize());
     });
   }
   for (std::thread& client : clients) client.join();
 
   for (size_t i = 0; i < kBurst; ++i) {
-    ASSERT_TRUE(responses[i].status.ok()) << responses[i].status;
-    EXPECT_FALSE(responses[i].cache_hit);
-    EXPECT_GT(responses[i].estimate, 0.0);
+    EXPECT_GT(EstimateOf(responses[i]), 0.0);
+    EXPECT_NE(responses[i].find("cache=miss"), std::string::npos)
+        << responses[i];
   }
   const serve::Stats stats = server.GetStats();
   EXPECT_EQ(stats.received, kBurst);
@@ -157,27 +179,28 @@ TEST_F(ServeTest, BackpressureRejectsWithTypedErrorInsteadOfBlocking) {
   serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
 
   const std::vector<const LabeledQuery*> pointers = QueryPointers(5);
-  std::vector<std::future<serve::Response>> queued;
+  std::vector<std::future<std::string>> queued;
   for (size_t i = 0; i < 4; ++i) {
-    queued.push_back(server.SubmitAsync(pointers[i]->query.Serialize()));
+    queued.push_back(
+        HandleLineFuture(&server, pointers[i]->query.Serialize()));
   }
   // The 5th must resolve immediately with a typed overload error.
-  std::future<serve::Response> rejected =
-      server.SubmitAsync(pointers[4]->query.Serialize());
+  std::future<std::string> rejected =
+      HandleLineFuture(&server, pointers[4]->query.Serialize());
   ASSERT_EQ(rejected.wait_for(std::chrono::seconds(0)),
             std::future_status::ready)
       << "a full queue must reject, not block";
-  const serve::Response overload = rejected.get();
-  EXPECT_EQ(overload.status.code(), StatusCode::kUnavailable);
-  EXPECT_NE(overload.status.message().find("overload"), std::string::npos);
+  const std::string overload = rejected.get();
+  EXPECT_TRUE(StartsWith(overload, "ERR Unavailable")) << overload;
+  EXPECT_NE(overload.find("overload"), std::string::npos) << overload;
   EXPECT_EQ(server.GetStats().rejected_overload, 1u);
 
   // Shutdown with no lanes fails the queued requests with a typed status
-  // instead of abandoning their futures.
+  // instead of abandoning their callbacks.
   server.Shutdown();
-  for (std::future<serve::Response>& future : queued) {
-    const serve::Response response = future.get();
-    EXPECT_EQ(response.status.code(), StatusCode::kUnavailable);
+  for (std::future<std::string>& future : queued) {
+    const std::string response = future.get();
+    EXPECT_TRUE(StartsWith(response, "ERR Unavailable")) << response;
   }
   EXPECT_EQ(server.GetStats().rejected_shutdown, 4u);
 }
@@ -193,25 +216,25 @@ TEST_F(ServeTest, GracefulShutdownDrainsAcceptedRequests) {
 
   const size_t kCount = 24;
   const std::vector<const LabeledQuery*> pointers = QueryPointers(kCount);
-  std::vector<std::future<serve::Response>> futures;
+  std::vector<std::future<std::string>> futures;
   for (size_t i = 0; i < kCount; ++i) {
-    futures.push_back(server.SubmitAsync(pointers[i]->query.Serialize()));
+    futures.push_back(
+        HandleLineFuture(&server, pointers[i]->query.Serialize()));
   }
   server.Shutdown();  // Races the lanes: accepted requests must still drain.
 
   const std::vector<double> direct = estimator.EstimateAll(pointers, 8);
   for (size_t i = 0; i < kCount; ++i) {
-    const serve::Response response = futures[i].get();
-    ASSERT_TRUE(response.status.ok())
-        << "request " << i << " was accepted but not served: "
-        << response.status;
-    EXPECT_EQ(response.estimate, direct[i]) << "request " << i;
+    const std::string response = futures[i].get();
+    ASSERT_TRUE(StartsWith(response, "EST "))
+        << "request " << i << " was accepted but not served: " << response;
+    EXPECT_EQ(EstimateOf(response), direct[i]) << "request " << i;
   }
   EXPECT_EQ(server.GetStats().served, kCount);
 
-  // Post-shutdown submissions get a typed rejection.
-  const serve::Response late = server.Submit(pointers[0]->query.Serialize());
-  EXPECT_EQ(late.status.code(), StatusCode::kUnavailable);
+  // Post-shutdown requests get a typed rejection.
+  const std::string late = server.HandleLine(pointers[0]->query.Serialize());
+  EXPECT_TRUE(StartsWith(late, "ERR Unavailable")) << late;
 }
 
 TEST_F(ServeTest, ServerEstimatesBitMatchDirectEstimateAll) {
@@ -231,20 +254,19 @@ TEST_F(ServeTest, ServerEstimatesBitMatchDirectEstimateAll) {
   const std::vector<double> direct = estimator.EstimateAll(pointers, 16);
 
   for (size_t i = 0; i < kCount; ++i) {
-    const serve::Response response =
-        server.Submit(pointers[i]->query.Serialize());
-    ASSERT_TRUE(response.status.ok()) << response.status;
-    EXPECT_EQ(response.estimate, direct[i])
+    const std::string response =
+        server.HandleLine(pointers[i]->query.Serialize());
+    EXPECT_EQ(EstimateOf(response), direct[i])
         << "server path diverged from EstimateAll at query " << i;
   }
   // A second round hits the cache (admission fast path) and must replay
   // exactly the same bits.
   for (size_t i = 0; i < kCount; ++i) {
-    const serve::Response response =
-        server.Submit(pointers[i]->query.Serialize());
-    ASSERT_TRUE(response.status.ok()) << response.status;
-    EXPECT_TRUE(response.cache_hit) << "query " << i;
-    EXPECT_EQ(response.estimate, direct[i]) << "query " << i;
+    const std::string response =
+        server.HandleLine(pointers[i]->query.Serialize());
+    EXPECT_NE(response.find("cache=hit"), std::string::npos)
+        << "query " << i << ": " << response;
+    EXPECT_EQ(EstimateOf(response), direct[i]) << "query " << i;
   }
   const serve::Stats stats = server.GetStats();
   EXPECT_EQ(stats.admission_cache_hits, kCount);
@@ -284,13 +306,8 @@ TEST_F(ServeTest, ProtocolRejectsMalformedInputWithErrLines) {
   // A valid line serves an estimate that round-trips through the text form.
   const LabeledQuery* query = &workload_->queries[0];
   const std::string line = server.HandleLine(query->query.Serialize());
-  ASSERT_TRUE(StartsWith(line, "EST ")) << line;
   const double direct = estimator.EstimateAll({query}, 1)[0];
-  std::string_view text = std::string_view(line).substr(4);
-  text = text.substr(0, text.find(' '));
-  double served = 0.0;
-  ASSERT_TRUE(ParseDouble(text, &served).ok()) << line;
-  EXPECT_EQ(served, direct);
+  EXPECT_EQ(EstimateOf(line), direct);
 
   const serve::Stats stats = server.GetStats();
   EXPECT_EQ(stats.rejected_malformed, 8u);
@@ -352,7 +369,8 @@ TEST_F(ServeTest, CopyTrainSwapNeverServesTornModelAndRetiresLazily) {
 
   // Warm a few entries so the swap has something to retire.
   for (size_t i = 0; i < kCount; ++i) {
-    ASSERT_TRUE(server.Submit(pointers[i]->query.Serialize()).status.ok());
+    const std::string line = server.HandleLine(pointers[i]->query.Serialize());
+    ASSERT_TRUE(StartsWith(line, "EST ")) << line;
   }
 
   const std::string kicked = server.HandleLine("ADMIN RETRAIN");
@@ -363,17 +381,17 @@ TEST_F(ServeTest, CopyTrainSwapNeverServesTornModelAndRetiresLazily) {
   // value belonging to neither model. Served-while-training counts
   // prove no request waited for the retrain to finish.
   size_t served_during_retrain = 0;
-  std::vector<serve::Response> responses;
+  std::vector<double> estimates;
   std::vector<size_t> picks;
   size_t i = 0;
   while (server.retrain_in_flight()) {
     const size_t pick = i++ % kCount;
-    const serve::Response response =
-        server.Submit(pointers[pick]->query.Serialize());
-    ASSERT_TRUE(response.status.ok()) << response.status;
+    const std::string line =
+        server.HandleLine(pointers[pick]->query.Serialize());
+    ASSERT_TRUE(StartsWith(line, "EST ")) << line;
     ++served_during_retrain;
     traffic.fetch_add(1, std::memory_order_release);
-    responses.push_back(response);
+    estimates.push_back(EstimateOf(line));
     picks.push_back(pick);
   }
   EXPECT_GT(served_during_retrain, 0u)
@@ -394,8 +412,8 @@ TEST_F(ServeTest, CopyTrainSwapNeverServesTornModelAndRetiresLazily) {
   ASSERT_GT(changed, 0u) << "the retrain did not move the weights; the "
                             "torn-model assertion below would be vacuous";
 
-  for (size_t j = 0; j < responses.size(); ++j) {
-    const double estimate = responses[j].estimate;
+  for (size_t j = 0; j < estimates.size(); ++j) {
+    const double estimate = estimates[j];
     EXPECT_TRUE(estimate == before[picks[j]] || estimate == after[picks[j]])
         << "request " << j << " observed a torn model: " << estimate
         << " matches neither model (" << before[picks[j]] << " / "
@@ -406,10 +424,9 @@ TEST_F(ServeTest, CopyTrainSwapNeverServesTornModelAndRetiresLazily) {
   // invalidation counter, not a wipe) and serving settles on the new
   // model's bits exactly.
   for (size_t j = 0; j < kCount; ++j) {
-    const serve::Response response =
-        server.Submit(pointers[j]->query.Serialize());
-    ASSERT_TRUE(response.status.ok()) << response.status;
-    EXPECT_EQ(response.estimate, after[j])
+    const std::string line =
+        server.HandleLine(pointers[j]->query.Serialize());
+    EXPECT_EQ(EstimateOf(line), after[j])
         << "post-swap serving diverged from the new model at query " << j;
   }
   const serve::Stats stats = server.GetStats();

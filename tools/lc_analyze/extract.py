@@ -35,13 +35,13 @@ import checks
 FACTS_VERSION = 1
 
 LOOP_SINK_CLASSES = {"EventLoop"}
-# method name -> classes it is a cross-thread sink on. `Submit` alone is
-# ThreadPool's; EstimatorServer::Submit is the synchronous wrapper.
+# method name -> classes it is a cross-thread sink on. `Submit` is
+# ThreadPool's; EstimatorServer's one callback entry is HandleLineAsync
+# (HandleLine blocks until its callback ran, so it is no sink).
 ASYNC_SINKS = {
     "Post": {"EventLoop"},
     "RunAt": {"EventLoop"},
     "Watch": {"EventLoop"},
-    "SubmitAsync": {"EstimatorServer"},
     "HandleLineAsync": {"EstimatorServer"},
     "Submit": {"ThreadPool"},
 }
