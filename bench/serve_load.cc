@@ -38,7 +38,7 @@
 // mode), LC_SERVE_LOAD_CONNS (256), LC_SERVE_LOAD_PIPELINE (8) and
 // LC_SERVE_LOAD_LOOPS ("1") for --transport=socket,
 // LC_SERVE_LOAD_RETRAIN_QUERIES (2000),
-// LC_SERVE_LOAD_RETRAIN_EPOCHS (2), plus the server's own LC_SERVE_* set.
+// LC_SERVE_LOAD_RETRAIN_EPOCHS (2).
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -145,7 +145,7 @@ struct RetrainLoadResult {
   double during_max_us = 0.0;
   size_t steady_count = 0;
   size_t during_count = 0;
-  size_t shed = 0;  // Unavailable rejections (overload shedding).
+  size_t shed = 0;  // Responses that were not estimates.
   double retrain_seconds = 0.0;
   lc::serve::Stats stats;
 };
@@ -177,8 +177,6 @@ RetrainLoadResult RunRetrainLoad(
         const double us = timer.Seconds() * 1e6;
         const bool after = retraining.load(std::memory_order_acquire);
         if (!lc::serve::ParseEstimate(line).ok()) {
-          // A retrain that stalled the lanes would fill the admission
-          // queue; shedding is part of the stall story.
           shed.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
@@ -340,14 +338,7 @@ SocketLoadResult RunSocketLoad(lc::MscnEstimator* estimator,
                                const std::vector<double>& expected,
                                size_t total_requests, int clients,
                                size_t conns, size_t pipeline, int loops) {
-  // The whole point is conns * pipeline requests in flight at once; size
-  // admission for that window so the bench measures the transport, not
-  // overload shedding (which would fail the bit-match gate with ERR lines).
-  lc::serve::ServerConfig server_config = lc::serve::ServerConfig::FromEnv();
-  server_config.queue_capacity =
-      std::max(server_config.queue_capacity, conns * pipeline);
-  lc::serve::EstimatorServer server(estimator, &schema, &samples,
-                                    server_config);
+  lc::serve::EstimatorServer server(estimator, &schema, &samples);
   const std::string path =
       "/tmp/lc_serve_load_" + std::to_string(::getpid()) + ".sock";
   lc::serve::net::SocketServerConfig net_config;
@@ -555,9 +546,6 @@ int main(int argc, char** argv) {
                            /*cache_capacity=*/0);
   const std::vector<double> expected = direct.EstimateAll(pointers, 64);
 
-  const lc::serve::ServerConfig server_config =
-      lc::serve::ServerConfig::FromEnv();
-
   if (socket_mode) {
     const size_t conns = static_cast<size_t>(
         std::max<int64_t>(1, lc::GetEnvInt("LC_SERVE_LOAD_CONNS", 256)));
@@ -581,10 +569,9 @@ int main(int argc, char** argv) {
 
     std::cout << lc::Format(
         "requests=%zu clients=%d conns=%zu pipeline=%zu distinct=%zu | "
-        "lanes=%d batch=%zu window=%lldus\n\n",
+        "max batch=%zu\n\n",
         total_requests, clients, conns, pipeline, distinct,
-        server_config.lanes, server_config.max_batch,
-        static_cast<long long>(server_config.window_us));
+        lc::serve::EstimatorServer::kMaxBatch);
     std::cout << lc::Format("%-12s %14s %13s %13s %13s %13s\n",
                             "cache@loops", "throughput", "p50", "p95", "p99",
                             "mean");
@@ -643,11 +630,9 @@ int main(int argc, char** argv) {
   }
 
   std::cout << lc::Format(
-      "requests=%zu clients=%d distinct=%zu | lanes=%d queue=%zu batch=%zu "
-      "window=%lldus\n\n",
-      total_requests, clients, distinct, server_config.lanes,
-      server_config.queue_capacity, server_config.max_batch,
-      static_cast<long long>(server_config.window_us));
+      "requests=%zu clients=%d distinct=%zu | max batch=%zu\n\n",
+      total_requests, clients, distinct,
+      lc::serve::EstimatorServer::kMaxBatch);
   std::cout << lc::Format("%-12s %14s %13s %13s %13s %13s\n", "cache",
                           "throughput", "p50", "p95", "p99", "mean");
 

@@ -59,7 +59,8 @@ MscnEstimator::MscnEstimator(const Featurizer* featurizer,
 
 double MscnEstimator::Estimate(const LabeledQuery& query) {
   std::vector<double> estimates;
-  EstimateBatch({&query}, &tape_, &estimates, nullptr);
+  EstimateBatch({&query}, {cache_ ? query.query.CanonicalKey() : ""}, &tape_,
+                &estimates, nullptr);
   return estimates[0];
 }
 
@@ -82,7 +83,7 @@ bool MscnEstimator::LookupFresh(uint64_t version,
 bool MscnEstimator::ProbeCache(const std::string& canonical_key,
                                double* estimate) {
   // A probe miss is a peek, not a counted miss: the estimate that follows
-  // it (EstimateBatch in a server lane) re-runs the counting lookup, so
+  // it (the server's EstimateBatch) re-runs the counting lookup, so
   // counting here too would double every cold request's miss.
   return LookupFresh(published_.Load()->version, canonical_key, estimate,
                      /*count_miss=*/false);
@@ -106,10 +107,12 @@ std::shared_ptr<MscnModel> MscnEstimator::SwapModel(
 }
 
 void MscnEstimator::EstimateBatch(
-    const std::vector<const LabeledQuery*>& queries, Tape* tape,
+    const std::vector<const LabeledQuery*>& queries,
+    std::vector<std::string> keys, Tape* tape,
     std::vector<double>* estimates, std::vector<uint8_t>* cache_hits) {
   LC_CHECK(tape != nullptr);
   const size_t count = queries.size();
+  LC_CHECK_EQ(keys.size(), count);
   estimates->assign(count, 0.0);
   if (cache_hits != nullptr) cache_hits->assign(count, 0);
   if (count == 0) return;
@@ -124,20 +127,17 @@ void MscnEstimator::EstimateBatch(
   // Partition into cache hits (served immediately) and misses (scored as
   // one padded batch below). With the cache disabled everything misses.
   std::vector<size_t> miss_slots;
-  std::vector<std::string> miss_keys;
   std::vector<const LabeledQuery*> misses;
   if (cache_) {
     miss_slots.reserve(count);
     for (size_t i = 0; i < count; ++i) {
-      std::string key = queries[i]->query.CanonicalKey();
       double cached = 0.0;
-      if (LookupFresh(published->version, key, &cached,
+      if (LookupFresh(published->version, keys[i], &cached,
                       /*count_miss=*/true)) {
         (*estimates)[i] = cached;
         if (cache_hits != nullptr) (*cache_hits)[i] = 1;
       } else {
         miss_slots.push_back(i);
-        miss_keys.push_back(std::move(key));
         misses.push_back(queries[i]);
       }
     }
@@ -156,7 +156,7 @@ void MscnEstimator::EstimateBatch(
   }
   for (size_t j = 0; j < miss_slots.size(); ++j) {
     (*estimates)[miss_slots[j]] = scored[j];
-    cache_->Insert(std::move(miss_keys[j]),
+    cache_->Insert(std::move(keys[miss_slots[j]]),
                    CachedEstimate{published->version, scored[j]});
   }
 }

@@ -117,6 +117,9 @@ class MscnEstimator : public CardinalityEstimator {
 
   /// The serving submit path: estimates `queries` as one batch on the
   /// caller-owned `tape`, consulting and filling the result cache.
+  /// `keys[i]` is queries[i]->query.CanonicalKey(), which the caller
+  /// already computed for its ProbeCache; the keys of misses move into the
+  /// cache. With the cache disabled the keys are never read.
   /// `estimates` receives one value per query; `cache_hits` (optional) one
   /// flag per query. Estimates are bit-identical to EstimateAll over the
   /// same queries against the model snapshot that served them: hits replay
@@ -126,7 +129,8 @@ class MscnEstimator : public CardinalityEstimator {
   /// composition. Safe to call from many threads concurrently provided
   /// each caller passes its own tape.
   void EstimateBatch(const std::vector<const LabeledQuery*>& queries,
-                     Tape* tape, std::vector<double>* estimates,
+                     std::vector<std::string> keys, Tape* tape,
+                     std::vector<double>* estimates,
                      std::vector<uint8_t>* cache_hits);
 
   /// Cache-only probe, keyed by Query::CanonicalKey() text: true (and

@@ -25,13 +25,11 @@ constexpr size_t kMaxWriteIov = 64;
 
 }  // namespace
 
-Connection::Connection(int fd, const std::shared_ptr<EventLoop>& loop,
-                       EstimatorServer* server, size_t write_high_water,
-                       NetCounters* counters,
+Connection::Connection(int fd, EventLoop* loop, EstimatorServer* server,
+                       size_t write_high_water, NetCounters* counters,
                        std::function<void(int fd)> on_close)
     : fd_(fd),
-      loop_(loop.get()),
-      weak_loop_(loop),
+      loop_(loop),
       server_(server),
       write_high_water_(write_high_water),
       counters_(counters),
@@ -60,132 +58,83 @@ void Connection::OnEvent(const PollEvent& event) {
   loop_->AssertOnLoopThread();
   if (closed_) return;
   if (event.readable || event.error) {
-    if (!DrainSocketReads()) return;  // Closed on a hard error.
+    // An error event reads to the end, so every line that arrived before
+    // the socket died is still answered.
+    if (!ReadAndServe(/*until_drained=*/event.error)) return;
   }
-  FlushReady();
+  Flush();
   if (closed_) return;
-  if (event.writable) {
-    TryWrite();
-    if (closed_) return;
-  }
   if (event.error && !read_eof_) {
     // Error with nothing readable and the reads still open: the socket is
     // dead (e.g. EPOLLHUP on a reset connection with an empty buffer).
     Close();
-    return;
   }
-  UpdateInterest();
 }
 
-bool Connection::DrainSocketReads() {
+bool Connection::ReadAndServe(bool until_drained) {
   if (read_eof_ || read_paused_) return true;
   char buffer[16384];
-  while (true) {
+  std::vector<LineFramer::Event> events;
+  std::vector<std::string> lines;
+  do {
     ssize_t n;
     do {
       n = read(fd_, buffer, sizeof(buffer));
     } while (n < 0 && errno == EINTR);
-    if (n > 0) {
-      last_activity_ = std::chrono::steady_clock::now();
-      std::vector<LineFramer::Event> events;
-      framer_.Feed(std::string_view(buffer, static_cast<size_t>(n)),
-                   &events);
-      for (LineFramer::Event& event : events) {
-        if (event.kind == LineFramer::Event::Kind::kOversize) {
-          // One ERR per oversize line, issued the moment the limit is
-          // crossed; its slot keeps the response order aligned with the
-          // request order even though the line never completed normally.
-          counters_->oversize_lines.fetch_add(1, std::memory_order_relaxed);
-          uint64_t id;
-          {
-            MutexLock lock(&slots_mu_);
-            slots_.emplace_back();
-            id = next_id_++;
-          }
-          Response response;
-          response.status = RequestLineTooLong();
-          CompleteSlot(id, FormatResponse(response));
-          continue;
-        }
-        counters_->lines_in.fetch_add(1, std::memory_order_relaxed);
-        DispatchLine(std::move(event.line));
-      }
-      // Dispatching can engage backpressure (a flood of inline cache hits
-      // fills the write buffer); stop framing more input immediately.
-      FlushReady();
-      if (closed_) return false;
-      if (read_paused_) return true;
-      continue;
-    }
     if (n == 0) {
       read_eof_ = true;  // Peer finished sending; answer what we owe.
       return true;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-    Close();  // ECONNRESET and friends: nothing left to answer.
-    return false;
-  }
-}
-
-void Connection::DispatchLine(std::string&& line) {
-  uint64_t id;
-  {
-    MutexLock lock(&slots_mu_);
-    slots_.emplace_back();
-    id = next_id_++;
-  }
-  auto self = shared_from_this();
-  server_->HandleLineAsync(
-      line, [self, id](std::string response) {
-        self->CompleteSlot(id, std::move(response));
-      });
-}
-
-void Connection::CompleteSlot(uint64_t id, std::string&& response) {
-  {
-    MutexLock lock(&slots_mu_);
-    LC_CHECK_GE(id, head_id_);
-    Slot& slot = slots_[static_cast<size_t>(id - head_id_)];
-    slot.text = std::move(response);
-    slot.text.push_back('\n');
-    slot.ready = true;
-    // One flush Post per burst: if a flush is already on its way to the
-    // loop it will pick this slot up too (FlushReady clears the flag
-    // before it harvests, so a completion landing mid-flush re-posts).
-    if (flush_posted_) return;
-    flush_posted_ = true;
-  }
-  // Hand the flush to the loop thread (completions run on lanes, the
-  // retrain thread, or inline on the loop). The shared_ptr keeps the
-  // connection alive; if it was closed meanwhile the flush is a no-op.
-  // The weak handle is the lifetime seam against SocketServer::Shutdown:
-  // a completion that fires after the owner released the loop fails the
-  // lock and drops the flush (shutdown already force-closed the
-  // connection); one that races the release pins the loop object so Post
-  // runs on live memory and its exited_ seal discards the task.
-  std::shared_ptr<EventLoop> loop = weak_loop_.lock();
-  if (!loop) return;
-  auto self = shared_from_this();
-  loop->Post([self] { self->FlushReady(); });
-}
-
-void Connection::FlushReady() {
-  loop_->AssertOnLoopThread();
-  if (closed_) return;
-  {
-    MutexLock lock(&slots_mu_);
-    flush_posted_ = false;  // Completions from here on need a fresh Post.
-    while (!slots_.empty() && slots_.front().ready) {
-      pending_bytes_ += slots_.front().text.size();
-      pending_out_.push_back(std::move(slots_.front().text));
-      counters_->responses_out.fetch_add(1, std::memory_order_relaxed);
-      slots_.pop_front();
-      ++head_id_;
+    if (n < 0) {
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+      Close();  // ECONNRESET and friends: nothing left to answer.
+      return false;
     }
+    last_activity_ = std::chrono::steady_clock::now();
+    events.clear();
+    framer_.Feed(std::string_view(buffer, static_cast<size_t>(n)), &events);
+    for (LineFramer::Event& event : events) {
+      if (event.kind == LineFramer::Event::Kind::kOversize) {
+        // One ERR per oversize line, issued the moment the limit is
+        // crossed, in its place among the responses.
+        Serve(&lines);
+        counters_->oversize_lines.fetch_add(1, std::memory_order_relaxed);
+        Response response;
+        response.status = RequestLineTooLong();
+        QueueResponse(FormatResponse(response));
+        continue;
+      }
+      counters_->lines_in.fetch_add(1, std::memory_order_relaxed);
+      lines.push_back(std::move(event.line));
+    }
+    Serve(&lines);
+    // Serving can engage backpressure (a flood of cache hits fills the
+    // write buffer); a drain then stops framing more input.
+    TryWrite();
+    if (closed_) return false;
+  } while (until_drained && !read_paused_);
+  return true;
+}
+
+void Connection::Serve(std::vector<std::string>* lines) {
+  if (lines->empty()) return;
+  for (std::string& response : server_->HandleLines(*lines)) {
+    QueueResponse(std::move(response));
   }
+  lines->clear();
+}
+
+void Connection::QueueResponse(std::string&& response) {
+  response.push_back('\n');
+  pending_bytes_ += response.size();
+  pending_out_.push_back(std::move(response));
+  counters_->responses_out.fetch_add(1, std::memory_order_relaxed);
+}
+
+void Connection::Flush() {
   TryWrite();
   if (closed_) return;
-  if (read_eof_ && pending_out_.empty() && PendingSlots() == 0) {
+  if (read_eof_ && pending_out_.empty()) {
     Close();  // Everything owed is on the wire and the peer is done.
     return;
   }
@@ -265,14 +214,14 @@ void Connection::BeginDrain() {
   loop_->AssertOnLoopThread();
   if (closed_ || draining_) return;
   draining_ = true;
-  // Lines the kernel already buffered were accepted: frame and dispatch
-  // them now so each gets an answer (or the server's typed shutdown
+  // Lines the kernel already buffered were accepted: frame and serve them
+  // now so each gets an answer (or the server's typed shutdown
   // rejection). Bytes of an incomplete trailing line are abandoned — no
   // response is owed for a line that never completed.
   read_paused_ = false;
-  if (!DrainSocketReads()) return;
+  if (!ReadAndServe(/*until_drained=*/true)) return;
   read_eof_ = true;
-  FlushReady();  // Closes immediately when nothing is pending.
+  Flush();  // Closes immediately when nothing is pending.
 }
 
 void Connection::ForceClose() {
@@ -285,16 +234,10 @@ bool Connection::CloseIfIdle(std::chrono::steady_clock::time_point now,
                              std::chrono::milliseconds timeout) {
   loop_->AssertOnLoopThread();
   if (closed_) return false;
-  const bool owes = PendingSlots() > 0 || !pending_out_.empty();
-  if (owes || now - last_activity_ < timeout) return false;
+  if (!pending_out_.empty() || now - last_activity_ < timeout) return false;
   counters_->reaped_idle.fetch_add(1, std::memory_order_relaxed);
   Close();
   return true;
-}
-
-size_t Connection::PendingSlots() const {
-  MutexLock lock(&slots_mu_);
-  return slots_.size();
 }
 
 void Connection::Close() {
@@ -304,8 +247,7 @@ void Connection::Close() {
   loop_->Unwatch(fd_);
   close(fd_);
   counters_->closed.fetch_add(1, std::memory_order_relaxed);
-  // May release the server's owning reference; `this` can die when the
-  // last in-flight completion drops its shared_ptr, so this stays last.
+  // May release the server's owning reference, so this stays last.
   if (on_close_) on_close_(fd_);
 }
 

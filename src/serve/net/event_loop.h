@@ -4,19 +4,19 @@
 // one thread runs EventLoop::Run(), and every watched fd, timer, and
 // Connection object belongs to that thread. Other threads interact with the
 // loop only through Post(), which enqueues a task and wakes the loop via a
-// self-pipe — this is how worker-lane completions re-enter the loop without
-// any fd state needing cross-thread locks. The sharded SocketServer runs N
-// of these loops side by side; the rule holds PER LOOP (each owns a
-// disjoint fd set), and Post() is also how an accepted unix fd migrates
-// from loop 0's accept path to the loop that will own it. Posted tasks run
+// self-pipe, so no fd state needs cross-thread locks. The sharded
+// SocketServer runs N of these loops side by side; the rule holds PER LOOP
+// (each owns a disjoint fd set), and Post() is how an accepted unix fd
+// migrates from loop 0's accept path to the loop that will own it, and how
+// shutdown reaches every loop. Posted tasks run
 // in FIFO order per loop — the shutdown rendezvous in socket_server.cc
 // leans on that to prove every handed-off fd is registered before its
 // loop's drain snapshot is taken.
 //
 // The readiness backend is epoll(7) (the system is Linux-only), used
 // level-triggered, so a handler that leaves bytes unread simply gets
-// called again — the write-backpressure "pause reads" state machine in
-// Connection relies on this.
+// called again — the write-backpressure "pause reads" state machine and
+// the one-read-per-event fairness bound in Connection rely on this.
 
 #ifndef LC_SERVE_NET_EVENT_LOOP_H_
 #define LC_SERVE_NET_EVENT_LOOP_H_

@@ -114,7 +114,7 @@ Status SocketServer::Start() {
   for (int i = 0; i < loops_; ++i) {
     auto shard = std::make_unique<LoopShard>();
     shard->index = i;
-    shard->loop = std::make_shared<EventLoop>();
+    shard->loop = std::make_unique<EventLoop>();
     shards_.push_back(std::move(shard));
   }
 
@@ -254,7 +254,7 @@ void SocketServer::AdoptFd(LoopShard* shard, int fd) {
                      sizeof(config_.so_sndbuf));
   }
   auto connection = std::make_shared<Connection>(
-      fd, shard->loop, server_, config_.write_high_water, &counters_,
+      fd, shard->loop.get(), server_, config_.write_high_water, &counters_,
       [this, shard](int closed_fd) {
         shard->connections.erase(closed_fd);
         MarkLoopDrainedIfDone(shard);
@@ -509,8 +509,8 @@ void SocketServer::Shutdown() {
   }
 
   // Rendezvous before close: wait until EVERY loop drained. A wedged
-  // drain anywhere (a lane that never completes, a client that never
-  // reads) is force-closed at the shared deadline rather than parking
+  // drain anywhere (a client that never reads its responses) is
+  // force-closed at the shared deadline rather than parking
   // shutdown forever.
   bool clean = false;
   {
@@ -556,12 +556,8 @@ void SocketServer::Shutdown() {
   for (const std::unique_ptr<LoopShard>& shard : shards_) {
     if (shard->thread.joinable()) shard->thread.join();
   }
-  // Releasing the loop references is safe even with completions still in
-  // flight (a force-closed connection's queue entry that
-  // EstimatorServer::Shutdown resolves later): those reach their loop
-  // only through Connection's weak_ptr, which either fails to lock here
-  // on out or briefly pins the object while the sealed Post drops the
-  // task. The shard shells stay alive for net_stats' per-loop counters.
+  // Every loop thread is joined: free the loops. The shard shells stay
+  // alive for net_stats' per-loop counters.
   for (const std::unique_ptr<LoopShard>& shard : shards_) {
     shard->loop.reset();
   }

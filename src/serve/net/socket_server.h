@@ -20,11 +20,11 @@
 //     EventLoop::Post — the connection object is created and registered on
 //     its owning loop, never touched by loop 0 again.
 //
-// A Connection stays pinned to exactly one loop for life. Request lines
-// are dispatched through EstimatorServer::HandleLineAsync (now called
-// concurrently from every loop), so a batching-window reply never blocks
-// any loop — the lane completion posts the response back to the owning
-// loop and that loop keeps multiplexing its other connections.
+// A Connection stays pinned to exactly one loop for life. The loop serves
+// the lines it frames itself: each read's lines go to
+// EstimatorServer::HandleLines (called concurrently from every loop), and
+// the responses are written by the same thread — a request never changes
+// threads between its read and its reply.
 //
 // Shutdown drains all loops concurrently, with rendezvous barriers making
 // the unix handoff safe: (1) every loop closes its listeners (no new
@@ -111,9 +111,9 @@ class SocketServer {
   /// Stops accepting on every loop, answers every accepted request line,
   /// flushes, closes every connection, and joins all loop threads (see
   /// the drain protocol in the header comment). Idempotent. The
-  /// EstimatorServer should still be alive (its lanes complete the
-  /// in-flight requests); calling after server shutdown also works — every
-  /// drained line is then answered with the typed shutdown rejection.
+  /// EstimatorServer must still exist, since the loops call it while they
+  /// drain; calling after server shutdown also works — every drained line
+  /// is then answered with the typed shutdown rejection.
   void Shutdown() LC_EXCLUDES(drain_mu_);
 
   /// Actual bound endpoints, one per configured spec (ephemeral TCP ports
@@ -149,7 +149,7 @@ class SocketServer {
   // runs (or by Start/Shutdown while it provably is not running).
   struct LoopShard {
     int index = 0;
-    std::shared_ptr<EventLoop> loop;
+    std::unique_ptr<EventLoop> loop;
     std::vector<std::unique_ptr<Listener>> listeners LC_LOOP_AFFINE(loop);
     std::unordered_map<int, std::shared_ptr<Connection>>
         connections LC_LOOP_AFFINE(loop);

@@ -1,7 +1,6 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <future>
 #include <utility>
 
 #if defined(__linux__)
@@ -11,7 +10,6 @@
 #endif
 
 #include "util/check.h"
-#include "util/env.h"
 #include "util/logging.h"
 #include "util/str.h"
 
@@ -30,163 +28,158 @@ double MicrosSince(SteadyClock::time_point start, SteadyClock::time_point now) {
   return std::chrono::duration<double, std::micro>(now - start).count();
 }
 
-Status Overloaded() {
-  return Status::Unavailable(
-      "admission queue full: server overloaded, retry later");
-}
-
 Status ShuttingDown() {
   return Status::Unavailable("server is shutting down");
 }
 
 // Every rejection goes through here: counts it in its outcome `bucket` and
-// answers `done` with the ERR line.
-void Reject(Status status, std::atomic<uint64_t>* bucket,
-            const std::function<void(std::string)>& done) {
+// returns the ERR line.
+std::string Reject(Status status, std::atomic<uint64_t>* bucket) {
   bucket->fetch_add(1, std::memory_order_relaxed);
   Response response;
   response.status = std::move(status);
-  done(FormatResponse(response));
+  return FormatResponse(response);
 }
 
 }  // namespace
 
-ServerConfig ServerConfig::FromEnv() {
-  ServerConfig config;
-  config.lanes = static_cast<int>(
-      std::max<int64_t>(0, GetEnvInt("LC_SERVE_LANES", config.lanes)));
-  config.queue_capacity = static_cast<size_t>(std::max<int64_t>(
-      1, GetEnvInt("LC_SERVE_QUEUE",
-                   static_cast<int64_t>(config.queue_capacity))));
-  config.max_batch = static_cast<size_t>(std::max<int64_t>(
-      1, GetEnvInt("LC_SERVE_BATCH", static_cast<int64_t>(config.max_batch))));
-  config.window_us =
-      std::max<int64_t>(0, GetEnvInt("LC_SERVE_WINDOW_US", config.window_us));
-  return config;
-}
-
 EstimatorServer::EstimatorServer(MscnEstimator* estimator,
                                  const Schema* schema,
-                                 const SampleSet* samples,
-                                 ServerConfig config)
-    : estimator_(estimator),
-      schema_(schema),
-      samples_(samples),
-      config_(config),
-      queue_(config.queue_capacity) {
+                                 const SampleSet* samples)
+    : estimator_(estimator), schema_(schema), samples_(samples) {
   LC_CHECK(estimator != nullptr);
   LC_CHECK(schema != nullptr);
   LC_CHECK(samples != nullptr);
-  LC_CHECK_GE(config.lanes, 0);
-  LC_CHECK_GT(config.max_batch, 0u);
-  LC_CHECK_GE(config.window_us, 0);
   LC_CHECK(samples->sample_size() ==
            estimator->featurizer()->dims().sample_bits)
       << "sample set and featurizer disagree on the bitmap length; serving "
          "would annotate requests differently from the training workload";
-  lane_stats_.reserve(static_cast<size_t>(config.lanes));
-  lanes_.reserve(static_cast<size_t>(config.lanes));
-  for (int lane = 0; lane < config.lanes; ++lane) {
-    lane_stats_.push_back(std::make_unique<LaneStats>());
-    // Dedicated threads, not pool tasks: lanes block on the queue for their
-    // whole lifetime and must never starve ParallelFor work of its workers.
-    lanes_.emplace_back(
-        [this, stats = lane_stats_.back().get()] { LaneLoop(stats); });
-  }
 }
 
 EstimatorServer::~EstimatorServer() { Shutdown(); }
 
-void EstimatorServer::HandleLineAsync(std::string_view line,
-                                      std::function<void(std::string)> done) {
+std::vector<std::string> EstimatorServer::HandleLines(
+    const std::vector<std::string>& lines) {
   // Entered concurrently from every transport event loop (plus in-process
-  // HandleLine callers): nothing below this line may assume a single caller
-  // thread — the counters are atomics, the BoundedQueue admission path
-  // locks internally, and admin verbs take admin_mu_. That keeps the Stats
-  // invariant exact with the transport sharded across LC_SERVE_LOOPS
-  // threads: each line is counted here once, and lands in one bucket below.
+  // HandleLine callers): nothing here may assume a single caller thread —
+  // the counters are atomics, the batch accounting and admin verbs take
+  // their locks, and the estimator's batch path runs on a per-thread tape.
+  // That keeps the Stats invariant exact with the transport sharded across
+  // LC_SERVE_LOOPS threads: each line is counted once, in Admit, and lands
+  // in one bucket.
+  std::vector<std::string> responses(lines.size());
+  std::vector<Miss> misses;
+  misses.reserve(lines.size());
+  for (size_t i = 0; i < lines.size(); ++i) {
+    Miss miss;
+    miss.slot = i;
+    if (Admit(lines[i], &miss, &responses[i])) {
+      misses.push_back(std::move(miss));
+    }
+  }
+  if (!misses.empty()) ScoreMisses(&misses, &responses);
+  return responses;
+}
+
+std::string EstimatorServer::HandleLine(std::string_view line) {
+  return std::move(HandleLines({std::string(line)})[0]);
+}
+
+bool EstimatorServer::Admit(std::string_view line, Miss* miss,
+                            std::string* response) {
   received_.fetch_add(1, std::memory_order_relaxed);
-  const SteadyClock::time_point admitted = SteadyClock::now();
+  miss->admitted = SteadyClock::now();
 
   StatusOr<std::string> text = ParseRequestLine(line);
   if (!text.ok()) {
-    Reject(text.status(), &rejected_malformed_, done);
-    return;
+    *response = Reject(text.status(), &rejected_malformed_);
+    return false;
   }
   // Admin lines resolve inline: STATS is a counter read and RETRAIN only
   // kicks a background thread — neither blocks the calling event loop.
   if (IsAdminRequest(*text)) {
-    done(HandleAdmin(*text));
-    return;
+    *response = HandleAdmin(*text);
+    return false;
   }
   if (stopping_.load(std::memory_order_acquire)) {
-    Reject(ShuttingDown(), &rejected_shutdown_, done);
-    return;
+    *response = Reject(ShuttingDown(), &rejected_shutdown_);
+    return false;
   }
 
   StatusOr<Query> parsed = Query::Deserialize(*text);
   if (!parsed.ok()) {
-    Reject(parsed.status(), &rejected_malformed_, done);
-    return;
+    *response = Reject(parsed.status(), &rejected_malformed_);
+    return false;
   }
   const Query query = std::move(parsed).value();
   Status valid = query.Validate(*schema_);
   if (!valid.ok()) {
-    Reject(std::move(valid), &rejected_malformed_, done);
-    return;
+    *response = Reject(std::move(valid), &rejected_malformed_);
+    return false;
   }
 
-  // Fast path: an exact-match fresh cache entry skips annotation, the
-  // queue, and the batching window entirely.
+  // Fast path: an exact-match fresh cache entry skips annotation and the
+  // model entirely.
+  miss->key = query.CanonicalKey();
   double cached = 0.0;
-  if (estimator_->ProbeCache(query.CanonicalKey(), &cached)) {
+  if (estimator_->ProbeCache(miss->key, &cached)) {
     admission_hits_.fetch_add(1, std::memory_order_relaxed);
-    Response response;
-    response.estimate = cached;
-    response.cache_hit = true;
-    response.latency_us = MicrosSince(admitted, SteadyClock::now());
-    done(FormatResponse(response));
-    return;
+    Response hit;
+    hit.estimate = cached;
+    hit.cache_hit = true;
+    hit.latency_us = MicrosSince(miss->admitted, SteadyClock::now());
+    *response = FormatResponse(hit);
+    return false;
   }
 
-  // Cheap pre-annotation shed: under sustained overload the queue stays
-  // full, and annotating a request that TryPush will reject would make
-  // rejections cost as much CPU as service. The check races with the
-  // lanes (a momentarily-full queue may drain before TryPush), so it only
-  // sheds — TryPush below stays the authoritative admission decision.
-  if (queue_.size() >= config_.queue_capacity) {
-    Reject(Overloaded(), &rejected_overload_, done);
-    return;
-  }
-
-  auto pending = std::make_unique<Pending>();
   // The runtime-sampling step of the paper's inference pipeline: annotate
-  // the query with qualifying-sample counts/bitmaps (section 3.4) on the
-  // submitting thread, keeping lanes free for forward passes.
-  pending->labeled = LabelQuery(query, /*executor=*/nullptr, *samples_);
-  pending->admitted = admitted;
-  pending->done = std::move(done);
-
-  switch (queue_.TryPush(&pending)) {
-    case QueuePush::kAccepted:
-      return;
-    case QueuePush::kFull:
-      Reject(Overloaded(), &rejected_overload_, pending->done);
-      return;
-    case QueuePush::kClosed:
-      Reject(ShuttingDown(), &rejected_shutdown_, pending->done);
-      return;
-  }
-  LC_CHECK(false) << "unreachable";
+  // the query with qualifying-sample counts/bitmaps (section 3.4).
+  miss->labeled = LabelQuery(query, /*executor=*/nullptr, *samples_);
+  return true;
 }
 
-std::string EstimatorServer::HandleLine(std::string_view line) {
-  auto promise = std::make_shared<std::promise<std::string>>();
-  std::future<std::string> future = promise->get_future();
-  HandleLineAsync(line, [promise](std::string response) {
-    promise->set_value(std::move(response));
-  });
-  return future.get();
+void EstimatorServer::ScoreMisses(std::vector<Miss>* misses,
+                                  std::vector<std::string>* responses) {
+  // Per-thread workspace: each event loop reuses its own tape, so
+  // steady-state batches allocate no tensor storage.
+  thread_local Tape tape;
+  std::vector<const LabeledQuery*> queries;
+  std::vector<std::string> keys;
+  std::vector<double> estimates;
+  std::vector<uint8_t> cache_hits;
+  for (size_t begin = 0; begin < misses->size(); begin += kMaxBatch) {
+    const size_t end = std::min(misses->size(), begin + kMaxBatch);
+    queries.clear();
+    keys.clear();
+    for (size_t i = begin; i < end; ++i) {
+      queries.push_back(&(*misses)[i].labeled);
+      keys.push_back(std::move((*misses)[i].key));
+    }
+    const SteadyClock::time_point start = SteadyClock::now();
+    estimator_->EstimateBatch(queries, std::move(keys), &tape, &estimates,
+                              &cache_hits);
+    const SteadyClock::time_point done = SteadyClock::now();
+
+    {
+      MutexLock lock(&stats_mu_);
+      batch_served_ += end - begin;
+      model_batches_ += 1;
+      batch_size_.Add(static_cast<double>(end - begin));
+      for (size_t i = begin; i < end; ++i) {
+        const SteadyClock::time_point admitted = (*misses)[i].admitted;
+        queue_wait_us_.Add(MicrosSince(admitted, start));
+        service_latency_us_.Add(MicrosSince(admitted, done));
+      }
+    }
+    for (size_t i = begin; i < end; ++i) {
+      const Miss& miss = (*misses)[i];
+      Response response;
+      response.estimate = estimates[i - begin];
+      response.cache_hit = cache_hits[i - begin] != 0;
+      response.latency_us = MicrosSince(miss.admitted, done);
+      (*responses)[miss.slot] = FormatResponse(response);
+    }
+  }
 }
 
 std::string EstimatorServer::FormatStatsLine() {
@@ -199,7 +192,6 @@ std::string EstimatorServer::FormatStatsLine() {
       static_cast<unsigned long long>(stats.served),
       static_cast<unsigned long long>(stats.admission_cache_hits),
       static_cast<unsigned long long>(stats.rejected_malformed +
-                                      stats.rejected_overload +
                                       stats.rejected_shutdown),
       static_cast<unsigned long long>(stats.model_batches),
       static_cast<unsigned long long>(stats.retrains_started),
@@ -259,7 +251,7 @@ std::string EstimatorServer::HandleAdmin(std::string_view text) {
       (void)setpriority(PRIO_PROCESS, static_cast<id_t>(syscall(SYS_gettid)),
                         kRetrainNice);
 #endif
-      // Off every lane and every lock: the hook clone-trains in the
+      // Off every serving thread and every lock: the hook clone-trains in the
       // background while serving continues, then publishes with an atomic
       // swap. Failure leaves the old model serving.
       const Status status = retrain();
@@ -279,84 +271,20 @@ std::string EstimatorServer::HandleAdmin(std::string_view text) {
       Status::InvalidArgument("unknown admin verb: " + *verb), "");
 }
 
-void EstimatorServer::LaneLoop(LaneStats* stats) {
-  Tape tape;  // Lane-owned workspace: steady-state batches allocate nothing.
-  std::unique_ptr<Pending> first;
-  while (queue_.Pop(&first)) {
-    // Batching window: the first request opens the window; the lane then
-    // coalesces whatever arrives before the deadline, up to max_batch, so
-    // bursts ride the batched SIMD path instead of one forward pass each.
-    std::vector<std::unique_ptr<Pending>> batch;
-    batch.reserve(config_.max_batch);
-    batch.push_back(std::move(first));
-    const SteadyClock::time_point deadline =
-        SteadyClock::now() + std::chrono::microseconds(config_.window_us);
-    while (batch.size() < config_.max_batch) {
-      std::unique_ptr<Pending> next;
-      if (!queue_.PopUntil(&next, deadline)) break;
-      batch.push_back(std::move(next));
-    }
-
-    const SteadyClock::time_point popped = SteadyClock::now();
-    std::vector<const LabeledQuery*> queries;
-    queries.reserve(batch.size());
-    for (const auto& pending : batch) queries.push_back(&pending->labeled);
-    std::vector<double> estimates;
-    std::vector<uint8_t> cache_hits;
-    estimator_->EstimateBatch(queries, &tape, &estimates, &cache_hits);
-    const SteadyClock::time_point done = SteadyClock::now();
-
-    {
-      MutexLock lock(&stats->mu);
-      stats->model_batches += 1;
-      stats->batch_size.Add(static_cast<double>(batch.size()));
-      for (const auto& pending : batch) {
-        stats->served += 1;
-        stats->queue_wait_us.Add(MicrosSince(pending->admitted, popped));
-        stats->service_latency_us.Add(MicrosSince(pending->admitted, done));
-      }
-    }
-    for (size_t i = 0; i < batch.size(); ++i) {
-      Response response;
-      response.estimate = estimates[i];
-      response.cache_hit = cache_hits[i] != 0;
-      response.latency_us = MicrosSince(batch[i]->admitted, done);
-      batch[i]->done(FormatResponse(response));
-    }
-  }
-}
-
 void EstimatorServer::Shutdown() {
-  MutexLock lock(&shutdown_mu_);
-  if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
-  // Stop admission; lanes keep popping until the queue reports closed AND
-  // drained, so every accepted request is served before the join returns.
-  queue_.Close();
-  for (std::thread& lane : lanes_) {
-    if (lane.joinable()) lane.join();
-  }
-  {
-    // An in-flight background retrain finishes (and publishes or fails)
-    // before the server is torn down — the hook may reference the
-    // estimator and trainer this server borrows.
-    MutexLock admin_lock(&admin_mu_);
-    if (retrain_thread_.joinable()) retrain_thread_.join();
-  }
-  // With lanes == 0 (tests) nothing drained the queue: resolve the
-  // leftovers with a typed rejection so no callback is silently abandoned.
-  std::unique_ptr<Pending> leftover;
-  while (queue_.TryPop(&leftover)) {
-    Reject(Status::Unavailable(
-               "server shut down before the request was served"),
-           &rejected_shutdown_, leftover->done);
-  }
+  stopping_.store(true, std::memory_order_release);
+  // An in-flight background retrain finishes (and publishes or fails)
+  // before the server is torn down — the hook may reference the estimator
+  // and trainer this server borrows. RETRAIN checks stopping_ under
+  // admin_mu_, so no retrain starts after this join.
+  MutexLock admin_lock(&admin_mu_);
+  if (retrain_thread_.joinable()) retrain_thread_.join();
 }
 
 Stats EstimatorServer::GetStats() const {
   Stats stats;
   stats.received = received_.load(std::memory_order_relaxed);
   stats.rejected_malformed = rejected_malformed_.load(std::memory_order_relaxed);
-  stats.rejected_overload = rejected_overload_.load(std::memory_order_relaxed);
   stats.rejected_shutdown = rejected_shutdown_.load(std::memory_order_relaxed);
   stats.admission_cache_hits =
       admission_hits_.load(std::memory_order_relaxed);
@@ -365,15 +293,12 @@ Stats EstimatorServer::GetStats() const {
   stats.retrains_failed = retrains_failed_.load(std::memory_order_relaxed);
   stats.model_swaps = model_swaps_.load(std::memory_order_relaxed);
   stats.stale_retirements = estimator_->cache_counters().invalidations;
-  stats.served = stats.admission_cache_hits;
-  for (const auto& lane : lane_stats_) {
-    MutexLock lock(&lane->mu);
-    stats.served += lane->served;
-    stats.model_batches += lane->model_batches;
-    stats.batch_size.Merge(lane->batch_size);
-    stats.queue_wait_us.Merge(lane->queue_wait_us);
-    stats.service_latency_us.Merge(lane->service_latency_us);
-  }
+  MutexLock lock(&stats_mu_);
+  stats.served = stats.admission_cache_hits + batch_served_;
+  stats.model_batches = model_batches_;
+  stats.batch_size = batch_size_;
+  stats.queue_wait_us = queue_wait_us_;
+  stats.service_latency_us = service_latency_us_;
   return stats;
 }
 

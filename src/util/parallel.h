@@ -20,7 +20,6 @@
 #ifndef LC_UTIL_PARALLEL_H_
 #define LC_UTIL_PARALLEL_H_
 
-#include <chrono>
 #include <cstddef>
 #include <deque>
 #include <functional>
@@ -110,21 +109,13 @@ void ParallelFor(size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t i)>& fn);
 void ParallelInvoke(std::vector<std::function<void()>> tasks);
 
-/// Outcome of a non-blocking BoundedQueue::TryPush.
-enum class QueuePush {
-  kAccepted = 0,
-  kFull,    // Backpressure: the caller should shed or retry.
-  kClosed,  // The queue no longer admits items.
-};
-
 /// A bounded multi-producer/multi-consumer FIFO for pipelining (e.g. the
-/// trainer's featurize → forward/backward stages) and request admission
-/// (serve::EstimatorServer). Push blocks while full, Pop blocks while
-/// empty. Close() wakes everyone: subsequent pushes fail, pops drain the
-/// remaining items and then fail.
+/// trainer's featurize → forward/backward stages). Push blocks while full,
+/// Pop blocks while empty. Close() wakes everyone: subsequent pushes fail,
+/// pops drain the remaining items and then fail.
 ///
 /// Shutdown contract (pinned by tests/parallel_test.cc,
-/// BoundedQueueTest.*Close*): an item whose Push/TryPush was accepted is
+/// BoundedQueueTest.*Close*): an item whose Push was accepted is
 /// always observable by some Pop — Close() never drops queued items, it
 /// only stops admission. Producers blocked in Push when Close() lands wake
 /// and return false with their item NOT enqueued; consumers blocked in Pop
@@ -156,21 +147,6 @@ class BoundedQueue {
     return true;
   }
 
-  /// Non-blocking admission: kAccepted moves `*value` into the queue;
-  /// kFull/kClosed leave `*value` untouched so the caller can dispose of it
-  /// (e.g. fail the request it wraps). This is the backpressure primitive:
-  /// a full queue is reported immediately instead of blocking the producer.
-  QueuePush TryPush(T* value) LC_EXCLUDES(mu_) {
-    {
-      MutexLock lock(&mu_);
-      if (closed_) return QueuePush::kClosed;
-      if (items_.size() >= capacity_) return QueuePush::kFull;
-      items_.push_back(std::move(*value));
-    }
-    not_empty_.NotifyOne();
-    return QueuePush::kAccepted;
-  }
-
   /// Blocks until an item arrives; false iff the queue is closed and fully
   /// drained.
   bool Pop(T* out) LC_EXCLUDES(mu_) {
@@ -178,41 +154,6 @@ class BoundedQueue {
       MutexLock lock(&mu_);
       while (!closed_ && items_.empty()) not_empty_.Wait(&mu_);
       if (items_.empty()) return false;  // Closed and drained.
-      *out = std::move(items_.front());
-      items_.pop_front();
-    }
-    not_full_.NotifyOne();
-    return true;
-  }
-
-  /// Non-blocking Pop: false when the queue is momentarily empty (or closed
-  /// and drained).
-  bool TryPop(T* out) LC_EXCLUDES(mu_) {
-    {
-      MutexLock lock(&mu_);
-      if (items_.empty()) return false;
-      *out = std::move(items_.front());
-      items_.pop_front();
-    }
-    not_full_.NotifyOne();
-    return true;
-  }
-
-  /// Pop with a deadline (the batching-window primitive): waits until an
-  /// item arrives, the queue closes, or `deadline` passes. Returns true iff
-  /// an item was popped; a deadline already in the past degrades to TryPop.
-  /// Items queued before Close() are still popped (drain semantics).
-  bool PopUntil(T* out, std::chrono::steady_clock::time_point deadline)
-      LC_EXCLUDES(mu_) {
-    {
-      MutexLock lock(&mu_);
-      while (!closed_ && items_.empty()) {
-        if (not_empty_.WaitUntil(&mu_, deadline) ==
-            std::cv_status::timeout) {
-          break;
-        }
-      }
-      if (items_.empty()) return false;  // Timed out, or closed and drained.
       *out = std::move(items_.front());
       items_.pop_front();
     }

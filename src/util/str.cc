@@ -10,14 +10,19 @@
 namespace lc {
 
 std::string Format(const char* fmt, ...) {
+  // One pass into a stack buffer covers nearly every call (response lines,
+  // log text); only longer output pays a second, exactly sized pass.
+  char stack[256];
   va_list args;
   va_start(args, fmt);
   va_list args_copy;
   va_copy(args_copy, args);
-  const int needed = std::vsnprintf(nullptr, 0, fmt, args);
+  const int needed = std::vsnprintf(stack, sizeof(stack), fmt, args);
   va_end(args);
   std::string result;
-  if (needed > 0) {
+  if (needed > 0 && static_cast<size_t>(needed) < sizeof(stack)) {
+    result.assign(stack, static_cast<size_t>(needed));
+  } else if (needed > 0) {
     result.resize(static_cast<size_t>(needed) + 1);
     std::vsnprintf(result.data(), result.size(), fmt, args_copy);
     result.resize(static_cast<size_t>(needed));

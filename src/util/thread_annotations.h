@@ -147,7 +147,7 @@
 #define LC_ON_LOOP LC_ANALYZE_ANNOTATE_("lc_on_loop")
 
 /// Wraps a lambda handed to a cross-thread sink (EventLoop::Post/RunAt/
-/// Watch, EstimatorServer::HandleLineAsync, ThreadPool::Submit) whose raw
+/// Watch, ThreadPool::Submit) whose raw
 /// `this`/pointer/reference captures are safe for a reason the analyzer
 /// cannot see — typically "Shutdown() joins the loop threads before the
 /// captured object dies". The reason string is mandatory and should name

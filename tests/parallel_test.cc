@@ -201,9 +201,9 @@ TEST(BoundedQueueTest, CloseUnblocksWaitingConsumer) {
   consumer.join();
 }
 
-// Regression pin for the serving drain pattern (multi-producer,
-// multi-consumer, Close racing with both sides): every Push/TryPush that
-// reported acceptance must be observed by exactly one Pop — Close stops
+// Regression pin for the drain pattern (multi-producer,
+// multi-consumer, Close racing with both sides): every Push that reported
+// acceptance must be observed by exactly one Pop — Close stops
 // admission but never drops queued items.
 TEST(BoundedQueueTest, CloseNeverDropsAcceptedItemsUnderMpmcRace) {
   BoundedQueue<int> queue(8);
@@ -263,58 +263,6 @@ TEST(BoundedQueueTest, CloseWakesBlockedProducers) {
   EXPECT_TRUE(queue.Pop(&value));
   EXPECT_EQ(value, 1);
   EXPECT_FALSE(queue.Pop(&value));
-}
-
-TEST(BoundedQueueTest, TryPushReportsFullAndClosedWithoutConsuming) {
-  BoundedQueue<int> queue(2);
-  int value = 7;
-  EXPECT_EQ(queue.TryPush(&value), QueuePush::kAccepted);
-  value = 8;
-  EXPECT_EQ(queue.TryPush(&value), QueuePush::kAccepted);
-  value = 9;
-  EXPECT_EQ(queue.TryPush(&value), QueuePush::kFull);
-  EXPECT_EQ(value, 9);  // Rejections leave the caller's value intact.
-  queue.Close();
-  EXPECT_EQ(queue.TryPush(&value), QueuePush::kClosed);
-  EXPECT_EQ(value, 9);
-  // Items accepted before Close drain through TryPop.
-  int out = 0;
-  EXPECT_TRUE(queue.TryPop(&out));
-  EXPECT_EQ(out, 7);
-  EXPECT_TRUE(queue.TryPop(&out));
-  EXPECT_EQ(out, 8);
-  EXPECT_FALSE(queue.TryPop(&out));
-}
-
-TEST(BoundedQueueTest, PopUntilTimesOutDrainsAndObservesClose) {
-  BoundedQueue<int> queue(4);
-  int value = 0;
-  // Empty queue: an already-passed deadline degrades to TryPop.
-  EXPECT_FALSE(queue.PopUntil(&value, std::chrono::steady_clock::now()));
-  ASSERT_TRUE(queue.Push(42));
-  EXPECT_TRUE(queue.PopUntil(&value, std::chrono::steady_clock::now()));
-  EXPECT_EQ(value, 42);
-  // A waiting PopUntil wakes as soon as an item arrives.
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    queue.Push(43);
-  });
-  EXPECT_TRUE(queue.PopUntil(
-      &value, std::chrono::steady_clock::now() + std::chrono::seconds(10)));
-  EXPECT_EQ(value, 43);
-  producer.join();
-  // Close wakes a waiting PopUntil before its deadline; queued items drain.
-  ASSERT_TRUE(queue.Push(44));
-  queue.Close();
-  EXPECT_TRUE(queue.PopUntil(
-      &value, std::chrono::steady_clock::now() + std::chrono::seconds(10)));
-  EXPECT_EQ(value, 44);
-  std::thread waiter([&] {
-    int out = 0;
-    EXPECT_FALSE(queue.PopUntil(
-        &out, std::chrono::steady_clock::now() + std::chrono::seconds(10)));
-  });
-  waiter.join();
 }
 
 TEST(ShardedLruCacheTest, HitMissAndEviction) {

@@ -270,12 +270,7 @@ TEST_F(ServeFramingTest, EverySplitPointReplaysByteIdentically) {
   // cache_capacity=0: a populated result cache would flip cache=miss to
   // cache=hit between replays and break the byte comparison.
   MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/0);
-  serve::ServerConfig config;
-  config.lanes = 1;
-  config.queue_capacity = 64;
-  config.max_batch = 8;
-  config.window_us = 0;  // Greedy: no reason to wait, HandleLine is serial.
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
 
   const std::string stream = GoldenStream(*workload_);
 
@@ -334,12 +329,7 @@ void ExpectWellFormedResponse(const std::string& response,
 
 TEST_F(ServeFramingTest, FuzzCorpusAlwaysDrawsOneWellFormedResponse) {
   MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/32);
-  serve::ServerConfig config;
-  config.lanes = 1;
-  config.queue_capacity = 64;
-  config.max_batch = 8;
-  config.window_us = 0;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
 
   std::vector<std::string> seeds;
   for (size_t i = 0; i < 8 && i < workload_->queries.size(); ++i) {

@@ -11,10 +11,10 @@
 //  - shutdown drain: every request line the kernel accepted is answered
 //    (or typed-rejected) and flushed before the connection closes, even
 //    with a retrain in flight;
-//  - lifetime seams: a lane completion that outlives the transport (its
-//    connection force-closed at the drain deadline, its queue entry
-//    resolved by EstimatorServer::Shutdown afterwards) must not touch the
-//    destroyed event loop;
+//  - batching by arrival: one pipelined send of misses is scored in at most
+//    a couple of forward passes, bit-identical to EstimateAll;
+//  - fairness: a flooding connection cannot starve another connection on
+//    its event loop;
 //  - fd exhaustion: an accept that hits EMFILE pauses the listener (no
 //    level-triggered spin) and recovers once descriptors free up;
 //  - idle reaping and write backpressure (a client that will not read its
@@ -29,8 +29,8 @@
 //    stats invariant staying exact with N loops feeding the server at once.
 //
 // Runs under TSan in CI (the ci.yml tsan job), both at LC_SERVE_LOOPS=1
-// and LC_SERVE_LOOPS=4: the event loops, the lane completions crossing
-// into connection slots, the unix fd handoff, and the counters are the
+// and LC_SERVE_LOOPS=4: the event loops serving concurrently through one
+// EstimatorServer, the unix fd handoff, and the counters are the
 // synchronization under test. The whole legacy suite also honors
 // LC_SERVE_LOOPS via NetConfig, so the 4-loop CI run re-exercises every
 // single-loop scenario on the sharded transport.
@@ -289,10 +289,7 @@ MscnModel* ServeSocketTest::model_ = nullptr;
 
 TEST_F(ServeSocketTest, TcpAndUnixServeBitIdenticalToDirectEstimateAll) {
   MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/64);
-  serve::ServerConfig config;
-  config.lanes = 2;
-  config.window_us = 50;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
   const std::string unix_path = UnixPath("both");
   SocketServer net(&server,
                    NetConfig({"tcp:127.0.0.1:0", "unix:" + unix_path}));
@@ -323,10 +320,7 @@ TEST_F(ServeSocketTest, TcpAndUnixServeBitIdenticalToDirectEstimateAll) {
 
 TEST_F(ServeSocketTest, SingleByteDribbleAndPipelinedBurstAnswerInOrder) {
   MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/64);
-  serve::ServerConfig config;
-  config.lanes = 2;
-  config.window_us = 100;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
   SocketServer net_server(&server, [] {
     SocketServerConfig net_config = NetConfig({"tcp:127.0.0.1:0"});
     net_config.stats_interval_ms = 50;  // Exercise the periodic stats line.
@@ -348,9 +342,8 @@ TEST_F(ServeSocketTest, SingleByteDribbleAndPipelinedBurstAnswerInOrder) {
   ASSERT_TRUE(client.ReadLine(&line));
   EXPECT_EQ(EstimateOf(line), direct[0]);
 
-  // Pipelined burst: 32 requests in ONE write. Cache hits complete inline
-  // while misses wait out the batching window on a lane, so responses can
-  // FINISH out of order — the wire order must still match request order.
+  // Pipelined burst: 32 requests in ONE write, cache hits mixed with
+  // misses scored in one batch — the wire order must match request order.
   const size_t kBurst = 32;
   std::string burst;
   for (size_t i = 0; i < kBurst; ++i) {
@@ -372,6 +365,89 @@ TEST_F(ServeSocketTest, SingleByteDribbleAndPipelinedBurstAnswerInOrder) {
   server.Shutdown();
 }
 
+// Batching follows arrival: the lines of one pipelined send are served by
+// one HandleLines call on the loop that read them, so 32 distinct misses
+// ride one forward pass (two if the kernel split the send) — and the
+// batch never changes an estimate's bits.
+TEST_F(ServeSocketTest, PipelinedMissesShareOneForwardPass) {
+  MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/0);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
+  SocketServerConfig net_config = NetConfig({"tcp:127.0.0.1:0"});
+  net_config.loops = 1;
+  SocketServer net(&server, net_config);
+  ASSERT_TRUE(net.Start().ok());
+  LineClient client = LineClient::Connect(net.endpoints()[0]);
+
+  const size_t kBurst = serve::EstimatorServer::kMaxBatch;
+  const std::vector<const LabeledQuery*> pointers = QueryPointers(kBurst);
+  ASSERT_EQ(pointers.size(), kBurst);
+  const std::vector<double> direct = estimator.EstimateAll(pointers, 8);
+  std::string burst;
+  for (const LabeledQuery* pointer : pointers) {
+    burst += pointer->query.Serialize() + "\n";
+  }
+  const uint64_t batches_before = server.GetStats().model_batches;
+  client.SendAll(burst);
+  const std::vector<std::string> responses = client.ReadLines(kBurst);
+  ASSERT_EQ(responses.size(), kBurst);
+  for (size_t i = 0; i < kBurst; ++i) {
+    EXPECT_EQ(EstimateOf(responses[i]), direct[i]) << "response " << i;
+  }
+  EXPECT_LE(server.GetStats().model_batches - batches_before, 2u)
+      << "one send of misses should share a forward pass";
+
+  net.Shutdown();
+  server.Shutdown();
+}
+
+// One read buffer per connection per wakeup: a client that pipelines
+// thousands of lines is served a chunk at a time, and another connection
+// on the same loop is answered in between — long before the flood's last
+// answer.
+TEST_F(ServeSocketTest, FloodingConnectionDoesNotStarveItsLoop) {
+  MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/0);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
+  SocketServerConfig net_config = NetConfig({"tcp:127.0.0.1:0"});
+  net_config.loops = 1;
+  SocketServer net(&server, net_config);
+  ASSERT_TRUE(net.Start().ok());
+  LineClient flood = LineClient::Connect(net.endpoints()[0]);
+  LineClient single = LineClient::Connect(net.endpoints()[0]);
+  ASSERT_TRUE(WaitFor([&] { return net.net_stats().accepted >= 2; }));
+
+  const size_t kFlood = 5000;
+  const std::vector<const LabeledQuery*> pointers = QueryPointers(64);
+  const std::vector<double> direct = estimator.EstimateAll(pointers, 8);
+  std::string lines;
+  for (size_t i = 0; i < kFlood; ++i) {
+    lines += pointers[i % pointers.size()]->query.Serialize() + "\n";
+  }
+  // The flood is written from a helper thread: the server reads it a
+  // chunk at a time, so the send blocks until the loop catches up.
+  std::thread writer([&] { flood.SendAll(lines); });
+  ASSERT_TRUE(WaitFor([&] { return net.net_stats().lines_in > 0; }));
+
+  single.SendAll(pointers[0]->query.Serialize() + "\n");
+  std::string line;
+  ASSERT_TRUE(single.ReadLine(&line));
+  EXPECT_EQ(EstimateOf(line), direct[0]);
+  // Responses are counted as they are queued for the wire, so fewer than
+  // kFlood + 1 means some flood line was still unanswered.
+  EXPECT_LT(net.net_stats().responses_out, kFlood + 1)
+      << "the single request waited for the whole flood";
+
+  const std::vector<std::string> answers = flood.ReadLines(kFlood);
+  writer.join();
+  ASSERT_EQ(answers.size(), kFlood);
+  for (size_t i = 0; i < kFlood; ++i) {
+    ASSERT_EQ(EstimateOf(answers[i]), direct[i % pointers.size()])
+        << "flood response " << i;
+  }
+
+  net.Shutdown();
+  server.Shutdown();
+}
+
 // The gather-write contract: a pipelined burst whose responses are all
 // ready together goes to the wire in O(1) sendmsg calls, not one per
 // response. Cache-warmed requests complete inline on the loop thread while
@@ -381,16 +457,13 @@ TEST_F(ServeSocketTest, SingleByteDribbleAndPipelinedBurstAnswerInOrder) {
 TEST_F(ServeSocketTest, GatherWriteFlushesPipelinedBurstInFewSyscalls) {
   MscnEstimator estimator(featurizer_, model_, "MSCN",
                           /*cache_capacity=*/64);
-  serve::ServerConfig config;
-  config.lanes = 2;
-  config.window_us = 0;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
   SocketServer net(&server, NetConfig({"tcp:127.0.0.1:0"}));
   ASSERT_TRUE(net.Start().ok());
   LineClient client = LineClient::Connect(net.endpoints()[0]);
 
   // Warm the estimator cache so every burst line is an admission cache hit
-  // (completes inline during the read drain, never waits on a lane).
+  // (no forward pass between the read and the flush).
   const size_t kDistinct = 8;
   const std::vector<const LabeledQuery*> pointers = QueryPointers(kDistinct);
   for (size_t i = 0; i < kDistinct; ++i) {
@@ -425,10 +498,7 @@ TEST_F(ServeSocketTest, GatherWriteFlushesPipelinedBurstInFewSyscalls) {
 
 TEST_F(ServeSocketTest, MidLineDisconnectLeavesServerServing) {
   MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/0);
-  serve::ServerConfig config;
-  config.lanes = 1;
-  config.window_us = 0;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
   SocketServer net(&server, NetConfig({"tcp:127.0.0.1:0"}));
   ASSERT_TRUE(net.Start().ok());
   const Endpoint endpoint = net.endpoints()[0];
@@ -458,10 +528,7 @@ TEST_F(ServeSocketTest, MidLineDisconnectLeavesServerServing) {
 
 TEST_F(ServeSocketTest, OversizeLineDrawsOneErrThenConnectionRecovers) {
   MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/0);
-  serve::ServerConfig config;
-  config.lanes = 1;
-  config.window_us = 0;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
   SocketServer net(&server, NetConfig({"tcp:127.0.0.1:0"}));
   ASSERT_TRUE(net.Start().ok());
   LineClient client = LineClient::Connect(net.endpoints()[0]);
@@ -509,10 +576,7 @@ TEST_F(ServeSocketTest, AdminVerbsOverSocketDuringLiveCopyTrainSwap) {
     before = direct.EstimateAll(pointers, 8);
   }
 
-  serve::ServerConfig config;
-  config.lanes = 2;
-  config.window_us = 50;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
   std::atomic<size_t> traffic{0};
   server.set_retrain_fn([&] {
     // Hold the retrain window open until requests demonstrably flowed
@@ -576,11 +640,7 @@ TEST_F(ServeSocketTest, AdminVerbsOverSocketDuringLiveCopyTrainSwap) {
 
 TEST_F(ServeSocketTest, ShutdownDrainsEveryAcceptedPipelinedLine) {
   MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/0);
-  serve::ServerConfig config;
-  config.lanes = 2;
-  config.queue_capacity = 256;
-  config.window_us = 100;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
   SocketServer net(&server, NetConfig({"tcp:127.0.0.1:0"}));
   ASSERT_TRUE(net.Start().ok());
   LineClient client = LineClient::Connect(net.endpoints()[0]);
@@ -614,10 +674,7 @@ TEST_F(ServeSocketTest, ShutdownDrainsEveryAcceptedPipelinedLine) {
 
 TEST_F(ServeSocketTest, ShutdownDuringRetrainStillDrains) {
   MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/64);
-  serve::ServerConfig config;
-  config.lanes = 2;
-  config.window_us = 50;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
 
   // A retrain hook gated on a promise: the transport shuts down while the
   // retrain is provably still in flight.
@@ -659,43 +716,9 @@ TEST_F(ServeSocketTest, ShutdownDuringRetrainStillDrains) {
   EXPECT_FALSE(server.retrain_in_flight());
 }
 
-TEST_F(ServeSocketTest, LateLaneCompletionAfterTransportShutdownIsDropped) {
-  // Regression: a connection force-closed at the drain deadline leaves its
-  // queue entry holding a completion into the (now torn down) transport.
-  // When EstimatorServer::Shutdown later resolves that entry, the
-  // completion must drop its flush instead of posting to the destroyed
-  // event loop (a use-after-free under ASan/TSan before the weak-loop fix).
-  MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/0);
-  serve::ServerConfig config;
-  config.lanes = 0;  // Requests queue; only server.Shutdown() resolves them.
-  config.window_us = 0;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
-  SocketServerConfig net_config = NetConfig({"tcp:127.0.0.1:0"});
-  net_config.drain_timeout_ms = 100;  // Force-close quickly: the slot can
-                                      // never become ready without lanes.
-  SocketServer net(&server, net_config);
-  ASSERT_TRUE(net.Start().ok());
-
-  LineClient client = LineClient::Connect(net.endpoints()[0]);
-  client.SendAll(QueryPointers(1)[0]->query.Serialize() + "\n");
-  ASSERT_TRUE(WaitFor([&] { return net.net_stats().lines_in >= 1; }));
-
-  net.Shutdown();  // Drain deadline passes; the connection is force-closed.
-  std::string line;
-  EXPECT_FALSE(client.ReadLine(&line)) << "unexpected response: " << line;
-  EXPECT_EQ(net.net_stats().open, 0u);
-
-  // Resolves the still-queued entry via its done() callback, which now
-  // runs against a transport whose loop is gone.
-  server.Shutdown();
-}
-
 TEST_F(ServeSocketTest, FdExhaustionPausesAcceptsAndRecovers) {
   MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/0);
-  serve::ServerConfig config;
-  config.lanes = 1;
-  config.window_us = 0;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
   SocketServer net(&server, NetConfig({"tcp:127.0.0.1:0"}));
   ASSERT_TRUE(net.Start().ok());
 
@@ -736,10 +759,7 @@ TEST_F(ServeSocketTest, FdExhaustionPausesAcceptsAndRecovers) {
 
 TEST_F(ServeSocketTest, IdleConnectionsAreReaped) {
   MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/0);
-  serve::ServerConfig config;
-  config.lanes = 1;
-  config.window_us = 0;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
   SocketServerConfig net_config = NetConfig({"tcp:127.0.0.1:0"});
   net_config.idle_timeout_ms = 50;
   SocketServer net(&server, net_config);
@@ -768,11 +788,7 @@ TEST_F(ServeSocketTest, IdleConnectionsAreReaped) {
 
 TEST_F(ServeSocketTest, WriteBackpressurePausesReadsWithoutLosingResponses) {
   MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/64);
-  serve::ServerConfig config;
-  config.lanes = 2;
-  config.queue_capacity = 2048;
-  config.window_us = 0;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
   SocketServerConfig net_config = NetConfig({"tcp:127.0.0.1:0"});
   // A tiny kernel send buffer plus a low high-water mark make the pause
   // deterministic: the client refuses to read, the kernel buffer fills,
@@ -786,8 +802,8 @@ TEST_F(ServeSocketTest, WriteBackpressurePausesReadsWithoutLosingResponses) {
   const std::vector<const LabeledQuery*> pointers = QueryPointers(kDistinct);
   const std::vector<double> direct = estimator.EstimateAll(pointers, 8);
 
-  // Warm the cache so the blast below completes inline on the loop thread
-  // (maximum pressure on the writer, no batching-window pacing).
+  // Warm the cache so the blast below is answered at cache-hit speed
+  // (maximum pressure on the writer, no forward-pass pacing).
   {
     LineClient warm = LineClient::Connect(net.endpoints()[0]);
     for (size_t i = 0; i < kDistinct; ++i) {
@@ -833,11 +849,7 @@ TEST_F(ServeSocketTest, WriteBackpressurePausesReadsWithoutLosingResponses) {
 // verb bumped both admin_requests and rejected_malformed.
 TEST_F(ServeSocketTest, StatsStayCoherentUnderMixedInProcessAndSocketTraffic) {
   MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/64);
-  serve::ServerConfig config;
-  config.lanes = 2;
-  config.queue_capacity = 4096;  // Overload shedding off: determinism.
-  config.window_us = 50;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
   SocketServer net(&server, NetConfig({"tcp:127.0.0.1:0"}));
   ASSERT_TRUE(net.Start().ok());
   const Endpoint endpoint = net.endpoints()[0];
@@ -932,10 +944,7 @@ SocketServerConfig FourLoopConfig(std::vector<std::string> listen) {
 
 TEST_F(ServeSocketTest, MultiLoopServesBitIdenticalOverTcpAndUnix) {
   MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/64);
-  serve::ServerConfig config;
-  config.lanes = 2;
-  config.window_us = 50;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
   const std::string unix_path = UnixPath("mloop_both");
   SocketServer net(&server,
                    FourLoopConfig({"tcp:127.0.0.1:0", "unix:" + unix_path}));
@@ -976,11 +985,7 @@ TEST_F(ServeSocketTest, MultiLoopServesBitIdenticalOverTcpAndUnix) {
 
 TEST_F(ServeSocketTest, MultiLoopPipelinedBurstsAcross64Connections) {
   MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/64);
-  serve::ServerConfig config;
-  config.lanes = 2;
-  config.queue_capacity = 4096;  // No overload shedding: determinism.
-  config.window_us = 50;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
   SocketServer net(&server, FourLoopConfig({"tcp:127.0.0.1:0"}));
   ASSERT_TRUE(net.Start().ok());
   const Endpoint endpoint = net.endpoints()[0];
@@ -1030,11 +1035,7 @@ TEST_F(ServeSocketTest, MultiLoopPipelinedBurstsAcross64Connections) {
 
 TEST_F(ServeSocketTest, MultiLoopDrainShutdownWithInflightPipelinesOnEveryLoop) {
   MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/0);
-  serve::ServerConfig config;
-  config.lanes = 2;
-  config.queue_capacity = 1024;
-  config.window_us = 100;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
   const std::string unix_path = UnixPath("mloop_drain");
   SocketServer net(&server, FourLoopConfig({"unix:" + unix_path}));
   ASSERT_TRUE(net.Start().ok());
@@ -1100,10 +1101,7 @@ TEST_F(ServeSocketTest, MultiLoopDrainShutdownWithInflightPipelinesOnEveryLoop) 
 
 TEST_F(ServeSocketTest, UnixHandoffRoundRobinDistributesAcrossLoops) {
   MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/64);
-  serve::ServerConfig config;
-  config.lanes = 1;
-  config.window_us = 0;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
   const std::string unix_path = UnixPath("mloop_rr");
   SocketServer net(&server, FourLoopConfig({"unix:" + unix_path}));
   ASSERT_TRUE(net.Start().ok());
@@ -1144,18 +1142,14 @@ TEST_F(ServeSocketTest, UnixHandoffRoundRobinDistributesAcrossLoops) {
 
 TEST_F(ServeSocketTest, MultiLoopStatsCoherenceUnderConcurrentTraffic) {
   MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/64);
-  serve::ServerConfig config;
-  config.lanes = 2;
-  config.queue_capacity = 4096;  // Overload shedding off: determinism.
-  config.window_us = 50;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
   const std::string unix_path = UnixPath("mloop_stats");
   SocketServer net(&server,
                    FourLoopConfig({"tcp:127.0.0.1:0", "unix:" + unix_path}));
   ASSERT_TRUE(net.Start().ok());
   const std::vector<Endpoint> endpoints = net.endpoints();
 
-  // Requests reach EstimatorServer::HandleLineAsync concurrently from 4
+  // Requests reach EstimatorServer::HandleLines concurrently from 4
   // loop threads AND in-process HandleLine callers; every received line
   // must still land in exactly one outcome bucket.
   const std::vector<const LabeledQuery*> pointers = QueryPointers(8);

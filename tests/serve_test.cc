@@ -1,11 +1,9 @@
 // Tests for the serving front-end (serve::EstimatorServer) and for the
 // race-free cache invalidation protocol under it:
-//  - batching-window coalescing: a burst of N requests rides ONE forward
-//    pass, not N;
-//  - backpressure: a full admission queue rejects with a typed Unavailable
-//    status instead of blocking forever;
-//  - graceful shutdown: every accepted request is served before the lanes
-//    exit, and later submissions get a typed rejection;
+//  - batching: one HandleLines call answers in request order and scores its
+//    misses in kMaxBatch chunks, one forward pass each;
+//  - graceful shutdown: every line admitted before Shutdown is served, and
+//    later lines get a typed rejection;
 //  - determinism: server estimates bit-match a direct EstimateAll over the
 //    same queries;
 //  - protocol: malformed input produces ERR lines, never a crash;
@@ -113,18 +111,6 @@ double EstimateOf(const std::string& line) {
   return estimate.ok() ? *estimate : std::numeric_limits<double>::quiet_NaN();
 }
 
-// HandleLineAsync with the response line delivered through a future, for
-// tests that keep many requests in flight from one thread.
-std::future<std::string> HandleLineFuture(serve::EstimatorServer* server,
-                                          const std::string& line) {
-  auto promise = std::make_shared<std::promise<std::string>>();
-  std::future<std::string> future = promise->get_future();
-  server->HandleLineAsync(line, [promise](std::string response) {
-    promise->set_value(std::move(response));
-  });
-  return future;
-}
-
 Database* ServeTest::db_ = nullptr;
 Executor* ServeTest::executor_ = nullptr;
 SampleSet* ServeTest::samples_ = nullptr;
@@ -132,105 +118,99 @@ Workload* ServeTest::workload_ = nullptr;
 Featurizer* ServeTest::featurizer_ = nullptr;
 MscnModel* ServeTest::model_ = nullptr;
 
-TEST_F(ServeTest, BatchingWindowCoalescesBurstIntoOneForwardPass) {
-  MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/0);
-  serve::ServerConfig config;
-  config.lanes = 1;
-  config.queue_capacity = 64;
-  config.max_batch = 32;
-  // Generous window: the lane pops the first request of the burst, then
-  // holds its forward pass long enough for the stragglers (thread startup
-  // on a loaded CI machine) to join the same batch.
-  config.window_us = 300000;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
+// One HandleLines call is one admission pass plus one forward pass per
+// kMaxBatch misses: responses come back in request order whatever each
+// line's outcome, and the batch never changes an estimate's bits.
+TEST_F(ServeTest, HandleLinesAnswersInOrderAndScoresMissesInMaxBatchChunks) {
+  MscnEstimator estimator(featurizer_, model_, "MSCN",
+                          /*cache_capacity=*/256);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
 
-  const size_t kBurst = 8;
-  const std::vector<const LabeledQuery*> pointers = QueryPointers(kBurst);
-  std::atomic<size_t> ready{0};
-  std::vector<std::string> responses(kBurst);
-  std::vector<std::thread> clients;
-  for (size_t i = 0; i < kBurst; ++i) {
-    clients.emplace_back([&, i] {
-      ready.fetch_add(1);
-      while (ready.load() < kBurst) std::this_thread::yield();
-      responses[i] = server.HandleLine(pointers[i]->query.Serialize());
-    });
+  const size_t kCount = serve::EstimatorServer::kMaxBatch + 8;
+  const std::vector<const LabeledQuery*> pointers = QueryPointers(kCount);
+  const std::vector<double> direct = estimator.EstimateAll(pointers, 16);
+  std::vector<std::string> lines;
+  for (size_t i = 0; i < kCount; ++i) {
+    lines.push_back(pointers[i]->query.Serialize());
+    if (i == 3) lines.push_back("garbage");
+    if (i == 20) lines.push_back("ADMIN STATS");
   }
-  for (std::thread& client : clients) client.join();
 
-  for (size_t i = 0; i < kBurst; ++i) {
-    EXPECT_GT(EstimateOf(responses[i]), 0.0);
-    EXPECT_NE(responses[i].find("cache=miss"), std::string::npos)
-        << responses[i];
+  for (int round = 0; round < 2; ++round) {
+    const std::vector<std::string> responses = server.HandleLines(lines);
+    ASSERT_EQ(responses.size(), lines.size());
+    size_t query = 0;
+    for (size_t i = 0; i < lines.size(); ++i) {
+      if (lines[i] == "garbage") {
+        EXPECT_TRUE(StartsWith(responses[i], "ERR Corruption"))
+            << responses[i];
+      } else if (lines[i] == "ADMIN STATS") {
+        EXPECT_TRUE(StartsWith(responses[i], "OK ")) << responses[i];
+      } else {
+        EXPECT_EQ(EstimateOf(responses[i]), direct[query])
+            << "round " << round << ", query " << query;
+        EXPECT_NE(responses[i].find(round == 0 ? "cache=miss" : "cache=hit"),
+                  std::string::npos)
+            << responses[i];
+        ++query;
+      }
+    }
+    EXPECT_EQ(query, kCount);
   }
+
+  // Round 1 scored its 40 misses as 32 + 8; round 2 hit the cache for all.
   const serve::Stats stats = server.GetStats();
-  EXPECT_EQ(stats.received, kBurst);
-  EXPECT_EQ(stats.served, kBurst);
-  EXPECT_EQ(stats.model_batches, 1u)
-      << "the burst should coalesce into one EstimateBatch call";
-  EXPECT_EQ(stats.batch_size.max(), static_cast<double>(kBurst));
-}
-
-TEST_F(ServeTest, BackpressureRejectsWithTypedErrorInsteadOfBlocking) {
-  MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/0);
-  serve::ServerConfig config;
-  config.lanes = 0;  // Nothing drains: the queue fills deterministically.
-  config.queue_capacity = 4;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
-
-  const std::vector<const LabeledQuery*> pointers = QueryPointers(5);
-  std::vector<std::future<std::string>> queued;
-  for (size_t i = 0; i < 4; ++i) {
-    queued.push_back(
-        HandleLineFuture(&server, pointers[i]->query.Serialize()));
-  }
-  // The 5th must resolve immediately with a typed overload error.
-  std::future<std::string> rejected =
-      HandleLineFuture(&server, pointers[4]->query.Serialize());
-  ASSERT_EQ(rejected.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready)
-      << "a full queue must reject, not block";
-  const std::string overload = rejected.get();
-  EXPECT_TRUE(StartsWith(overload, "ERR Unavailable")) << overload;
-  EXPECT_NE(overload.find("overload"), std::string::npos) << overload;
-  EXPECT_EQ(server.GetStats().rejected_overload, 1u);
-
-  // Shutdown with no lanes fails the queued requests with a typed status
-  // instead of abandoning their callbacks.
-  server.Shutdown();
-  for (std::future<std::string>& future : queued) {
-    const std::string response = future.get();
-    EXPECT_TRUE(StartsWith(response, "ERR Unavailable")) << response;
-  }
-  EXPECT_EQ(server.GetStats().rejected_shutdown, 4u);
+  EXPECT_EQ(stats.model_batches, 2u);
+  EXPECT_EQ(stats.batch_size.max(),
+            static_cast<double>(serve::EstimatorServer::kMaxBatch));
+  EXPECT_EQ(stats.admission_cache_hits, kCount);
+  EXPECT_EQ(stats.served, 2 * kCount);
+  EXPECT_EQ(stats.received, 2 * lines.size());
 }
 
 TEST_F(ServeTest, GracefulShutdownDrainsAcceptedRequests) {
   MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/0);
-  serve::ServerConfig config;
-  config.lanes = 2;
-  config.queue_capacity = 64;
-  config.max_batch = 4;
-  config.window_us = 100;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
 
   const size_t kCount = 24;
+  const size_t kThreads = 4;
   const std::vector<const LabeledQuery*> pointers = QueryPointers(kCount);
-  std::vector<std::future<std::string>> futures;
-  for (size_t i = 0; i < kCount; ++i) {
-    futures.push_back(
-        HandleLineFuture(&server, pointers[i]->query.Serialize()));
-  }
-  server.Shutdown();  // Races the lanes: accepted requests must still drain.
-
   const std::vector<double> direct = estimator.EstimateAll(pointers, 8);
-  for (size_t i = 0; i < kCount; ++i) {
-    const std::string response = futures[i].get();
-    ASSERT_TRUE(StartsWith(response, "EST "))
-        << "request " << i << " was accepted but not served: " << response;
-    EXPECT_EQ(EstimateOf(response), direct[i]) << "request " << i;
+  std::vector<std::vector<std::string>> responses(kThreads);
+  std::vector<std::thread> callers;
+  for (size_t t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&, t] {
+      std::vector<std::string> lines;
+      for (size_t i = t; i < kCount; i += kThreads) {
+        lines.push_back(pointers[i]->query.Serialize());
+      }
+      responses[t] = server.HandleLines(lines);
+    });
   }
-  EXPECT_EQ(server.GetStats().served, kCount);
+  server.Shutdown();  // Races the callers: every line must still be answered.
+  for (std::thread& caller : callers) caller.join();
+
+  // A line admitted before the shutdown is served with its exact estimate;
+  // every later line of the same call draws the typed rejection.
+  size_t served = 0;
+  for (size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(responses[t].size(), kCount / kThreads) << "caller " << t;
+    bool rejected = false;
+    for (size_t j = 0; j < responses[t].size(); ++j) {
+      const std::string& response = responses[t][j];
+      if (StartsWith(response, "EST ")) {
+        EXPECT_FALSE(rejected) << "served after a shutdown rejection";
+        EXPECT_EQ(EstimateOf(response), direct[t + j * kThreads]);
+        ++served;
+      } else {
+        EXPECT_TRUE(StartsWith(response, "ERR Unavailable")) << response;
+        rejected = true;
+      }
+    }
+  }
+  const serve::Stats stats = server.GetStats();
+  EXPECT_EQ(stats.served, served);
+  EXPECT_EQ(stats.served + stats.rejected_shutdown, kCount);
 
   // Post-shutdown requests get a typed rejection.
   const std::string late = server.HandleLine(pointers[0]->query.Serialize());
@@ -240,12 +220,7 @@ TEST_F(ServeTest, GracefulShutdownDrainsAcceptedRequests) {
 TEST_F(ServeTest, ServerEstimatesBitMatchDirectEstimateAll) {
   MscnEstimator estimator(featurizer_, model_, "MSCN",
                           /*cache_capacity=*/256);
-  serve::ServerConfig config;
-  config.lanes = 2;
-  config.queue_capacity = 128;
-  config.max_batch = 16;
-  config.window_us = 50;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
 
   const size_t kCount = 60;
   const std::vector<const LabeledQuery*> pointers = QueryPointers(kCount);
@@ -272,7 +247,7 @@ TEST_F(ServeTest, ServerEstimatesBitMatchDirectEstimateAll) {
   EXPECT_EQ(stats.admission_cache_hits, kCount);
   EXPECT_EQ(stats.served, 2 * kCount);
   // Exactly one counted miss per cold request: the admission probe is a
-  // peek, only the lane's authoritative lookup counts.
+  // peek, only EstimateBatch's authoritative lookup counts.
   const CacheCounters counters = estimator.cache_counters();
   EXPECT_EQ(counters.misses, kCount);
   EXPECT_EQ(counters.insertions, kCount);
@@ -280,10 +255,7 @@ TEST_F(ServeTest, ServerEstimatesBitMatchDirectEstimateAll) {
 
 TEST_F(ServeTest, ProtocolRejectsMalformedInputWithErrLines) {
   MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/0);
-  serve::ServerConfig config;
-  config.lanes = 1;
-  config.window_us = 0;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
 
   // Structural garbage, strict-parse failures, and schema violations all
   // come back as ERR lines with the typed code name.
@@ -345,13 +317,7 @@ TEST_F(ServeTest, CopyTrainSwapNeverServesTornModelAndRetiresLazily) {
     before = direct.EstimateAll(pointers, 8);
   }
 
-  serve::ServerConfig server_config;
-  server_config.lanes = 2;
-  server_config.queue_capacity = 64;
-  server_config.max_batch = 8;
-  server_config.window_us = 50;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_,
-                                server_config);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
   std::atomic<size_t> traffic{0};  // Requests served since the kick.
   server.set_retrain_fn([&] {
     // Hold the retrain window open until a few requests have demonstrably
@@ -438,10 +404,7 @@ TEST_F(ServeTest, CopyTrainSwapNeverServesTornModelAndRetiresLazily) {
 
 TEST_F(ServeTest, AdminProtocolVerbs) {
   MscnEstimator estimator(featurizer_, model_, "MSCN", /*cache_capacity=*/0);
-  serve::ServerConfig config;
-  config.lanes = 1;
-  config.window_us = 0;
-  serve::EstimatorServer server(&estimator, &db_->schema(), samples_, config);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
 
   // STATS always answers one OK line.
   const std::string stats_line = server.HandleLine("ADMIN STATS");

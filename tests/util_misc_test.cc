@@ -27,6 +27,20 @@ TEST(StrTest, Format) {
   EXPECT_EQ(Format("%d-%s", 42, "x"), "42-x");
   EXPECT_EQ(Format("%.2f", 3.14159), "3.14");
   EXPECT_EQ(Format("empty"), "empty");
+  EXPECT_EQ(Format("%s", ""), "");
+}
+
+// Format writes into a 256-byte stack buffer first and re-formats only
+// output that does not fit: pin both sides of that boundary.
+TEST(StrTest, FormatAroundTheStackBufferBoundary) {
+  for (size_t length : {255u, 256u, 257u, 4096u}) {
+    const std::string text(length - 1, 'x');
+    const std::string formatted = Format("%s%d", text.c_str(), 7);
+    ASSERT_EQ(formatted.size(), length);
+    EXPECT_EQ(formatted, text + "7");
+  }
+  EXPECT_EQ(Format("EST %.17g us=%.1f", 0.1, 87.3),
+            "EST 0.10000000000000001 us=87.3");
 }
 
 TEST(StrTest, SplitKeepsEmptyFields) {

@@ -36,13 +36,12 @@ FACTS_VERSION = 1
 
 LOOP_SINK_CLASSES = {"EventLoop"}
 # method name -> classes it is a cross-thread sink on. `Submit` is
-# ThreadPool's; EstimatorServer's one callback entry is HandleLineAsync
-# (HandleLine blocks until its callback ran, so it is no sink).
+# ThreadPool's. EstimatorServer takes no callback: HandleLines answers on
+# the calling thread, so it is no sink.
 ASYNC_SINKS = {
     "Post": {"EventLoop"},
     "RunAt": {"EventLoop"},
     "Watch": {"EventLoop"},
-    "HandleLineAsync": {"EstimatorServer"},
     "Submit": {"ThreadPool"},
 }
 LOOP_SINK_METHODS = {"Post", "RunAt", "Watch"}
