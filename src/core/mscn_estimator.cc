@@ -58,35 +58,27 @@ MscnEstimator::MscnEstimator(const Featurizer* featurizer,
 }
 
 double MscnEstimator::Estimate(const LabeledQuery& query) {
+  std::string key = cache_ ? query.query.CanonicalKey() : "";
+  double estimate = 0.0;
+  if (ProbeCache(key, &estimate)) return estimate;
   std::vector<double> estimates;
-  EstimateBatch({&query}, {cache_ ? query.query.CanonicalKey() : ""}, &tape_,
-                &estimates, nullptr);
+  EstimateBatch({&query}, {std::move(key)}, &tape_, &estimates);
   return estimates[0];
-}
-
-bool MscnEstimator::LookupFresh(uint64_t version,
-                                const std::string& canonical_key,
-                                double* estimate, bool count_miss) {
-  if (!cache_) return false;
-  CachedEstimate entry;
-  if (!cache_->LookupValid(canonical_key, &entry,
-                           [version](const CachedEstimate& cached) {
-                             return cached.version == version;
-                           },
-                           count_miss)) {
-    return false;
-  }
-  *estimate = entry.value;
-  return true;
 }
 
 bool MscnEstimator::ProbeCache(const std::string& canonical_key,
                                double* estimate) {
-  // A probe miss is a peek, not a counted miss: the estimate that follows
-  // it (the server's EstimateBatch) re-runs the counting lookup, so
-  // counting here too would double every cold request's miss.
-  return LookupFresh(published_.Load()->version, canonical_key, estimate,
-                     /*count_miss=*/false);
+  if (!cache_) return false;
+  const uint64_t version = published_.Load()->version;
+  CachedEstimate entry;
+  if (!cache_->LookupValid(canonical_key, &entry,
+                           [version](const CachedEstimate& cached) {
+                             return cached.version == version;
+                           })) {
+    return false;
+  }
+  *estimate = entry.value;
+  return true;
 }
 
 std::shared_ptr<MscnModel> MscnEstimator::SwapModel(
@@ -109,55 +101,24 @@ std::shared_ptr<MscnModel> MscnEstimator::SwapModel(
 void MscnEstimator::EstimateBatch(
     const std::vector<const LabeledQuery*>& queries,
     std::vector<std::string> keys, Tape* tape,
-    std::vector<double>* estimates, std::vector<uint8_t>* cache_hits) {
+    std::vector<double>* estimates) {
   LC_CHECK(tape != nullptr);
-  const size_t count = queries.size();
-  LC_CHECK_EQ(keys.size(), count);
-  estimates->assign(count, 0.0);
-  if (cache_hits != nullptr) cache_hits->assign(count, 0);
-  if (count == 0) return;
+  LC_CHECK_EQ(keys.size(), queries.size());
+  estimates->clear();
+  if (queries.empty()) return;
 
-  // One snapshot for the whole call: lookups judge freshness against its
-  // version and misses are scored with its model, so the batch is coherent
-  // (and its estimates bit-match EstimateAll over this model) even when a
-  // swap publishes a successor mid-flight — the handle keeps the snapshot
-  // alive until we are done with it.
+  // One snapshot for the whole call: the batch is scored with its model and
+  // cached under its version, so the estimates bit-match EstimateAll over
+  // this model even when a swap publishes a successor mid-flight (the handle
+  // keeps the snapshot alive until we are done with it), and an entry of a
+  // superseded model never reads as fresh afterwards.
   const std::shared_ptr<const Publication> published = published_.Load();
-
-  // Partition into cache hits (served immediately) and misses (scored as
-  // one padded batch below). With the cache disabled everything misses.
-  std::vector<size_t> miss_slots;
-  std::vector<const LabeledQuery*> misses;
-  if (cache_) {
-    miss_slots.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-      double cached = 0.0;
-      if (LookupFresh(published->version, keys[i], &cached,
-                      /*count_miss=*/true)) {
-        (*estimates)[i] = cached;
-        if (cache_hits != nullptr) (*cache_hits)[i] = 1;
-      } else {
-        miss_slots.push_back(i);
-        misses.push_back(queries[i]);
-      }
-    }
-    if (misses.empty()) return;
-  }
-  const std::vector<const LabeledQuery*>& to_score =
-      cache_ ? misses : queries;
-
-  std::vector<double> scored;
-  const MscnBatch batch = featurizer_->MakeBatch(to_score, nullptr);
-  published->model->Predict(batch, tape, &scored);
-
-  if (!cache_) {
-    *estimates = std::move(scored);
-    return;
-  }
-  for (size_t j = 0; j < miss_slots.size(); ++j) {
-    (*estimates)[miss_slots[j]] = scored[j];
-    cache_->Insert(std::move(keys[miss_slots[j]]),
-                   CachedEstimate{published->version, scored[j]});
+  const MscnBatch batch = featurizer_->MakeBatch(queries, nullptr);
+  published->model->Predict(batch, tape, estimates);
+  if (!cache_) return;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    cache_->Insert(std::move(keys[i]),
+                   CachedEstimate{published->version, (*estimates)[i]});
   }
 }
 

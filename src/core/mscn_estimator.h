@@ -17,10 +17,10 @@
 //    with per-shard tapes, yielding the same estimates as the sequential
 //    path bit-for-bit (padding rows are zero and masked, so a query's
 //    forward pass is independent of its batch neighbours).
-//  - EstimateBatch is the thread-safe batched submit path used by
-//    serve::EstimatorServer: it consults and fills the cache, reports
-//    per-query hit flags, and scores all misses in one forward pass on a
-//    caller-owned tape.
+//  - ProbeCache and EstimateBatch are the thread-safe serving pair used by
+//    serve::EstimatorServer: ProbeCache is the one counted cache lookup of
+//    a request, and EstimateBatch scores the misses in one forward pass on
+//    a caller-owned tape and fills the cache.
 //
 // Model ownership: the estimator holds its model behind a SwapHandle
 // (util/swap_handle.h). Constructed over a raw pointer it merely borrows
@@ -43,12 +43,12 @@
 //    a single Load() yields both. The version starts at 0 and only
 //    SwapModel sets it, one past the version it supersedes; SwapModel
 //    never writes the model it is given.
-//  - Cache lookups judge freshness against the version of the caller's
-//    snapshot and treat any entry whose recorded version differs as a
-//    miss, erasing it in place (lazy retirement — never a global wipe,
-//    whose clear-then-reinsert window can serve a pre-swap estimate as
-//    fresh). Entries inserted by in-flight estimates that started before
-//    a swap carry the superseded version and are therefore never served
+//  - Cache lookups judge freshness against the current version and treat
+//    any entry whose recorded version differs as a miss, erasing it in
+//    place (lazy retirement — never a global wipe, whose
+//    clear-then-reinsert window can serve a pre-swap estimate as fresh).
+//    Entries inserted by in-flight estimates that started before a swap
+//    carry the superseded version and are therefore never served
 //    afterwards. Versions strictly increase, so an entry tagged under any
 //    earlier publication can never compare equal to the current one.
 
@@ -73,8 +73,8 @@
 
 namespace lc {
 
-/// Shared scaffolding of the batched estimation paths (MscnEstimator and
-/// MscnEnsemble): partitions [0, queries.size()) into consecutive batches
+/// Shared scaffolding of the batched estimation paths (EstimateAll and
+/// Trainer): partitions [0, queries.size()) into consecutive batches
 /// of `batch_size`, shards whole batches across `pool`, and calls
 /// per_batch(tape, slice, begin) with a per-shard reusable tape. Batch
 /// composition and result slots are fixed, so callers writing estimates
@@ -115,29 +115,26 @@ class MscnEstimator : public CardinalityEstimator {
       const std::vector<const LabeledQuery*>& queries, size_t batch_size,
       ThreadPool* pool = ThreadPool::Global());
 
-  /// The serving submit path: estimates `queries` as one batch on the
-  /// caller-owned `tape`, consulting and filling the result cache.
+  /// The serving score path: scores every query in `queries` as one batch
+  /// on the caller-owned `tape` — it looks nothing up (the caller's
+  /// ProbeCache already missed) — and inserts each result into the cache
+  /// under the publication version of the snapshot that scored it.
   /// `keys[i]` is queries[i]->query.CanonicalKey(), which the caller
-  /// already computed for its ProbeCache; the keys of misses move into the
-  /// cache. With the cache disabled the keys are never read.
-  /// `estimates` receives one value per query; `cache_hits` (optional) one
-  /// flag per query. Estimates are bit-identical to EstimateAll over the
-  /// same queries against the model snapshot that served them: hits replay
-  /// a value the same forward-pass math produced earlier under a
-  /// publication version that is still current, and misses are scored on
-  /// one snapshot with padding-masked batching independent of batch
-  /// composition. Safe to call from many threads concurrently provided
-  /// each caller passes its own tape.
+  /// already computed for its ProbeCache; the keys move into the cache.
+  /// With the cache disabled the keys are never read. `estimates` receives
+  /// one value per query, bit-identical to EstimateAll over the same
+  /// queries against that snapshot: padding-masked batching makes a
+  /// query's forward pass independent of batch composition. Safe to call
+  /// from many threads concurrently provided each caller passes its own
+  /// tape.
   void EstimateBatch(const std::vector<const LabeledQuery*>& queries,
                      std::vector<std::string> keys, Tape* tape,
-                     std::vector<double>* estimates,
-                     std::vector<uint8_t>* cache_hits);
+                     std::vector<double>* estimates);
 
-  /// Cache-only probe, keyed by Query::CanonicalKey() text: true (and
-  /// `*estimate` set) only on a hit that is fresh for the current
-  /// publication version. Never runs the model. Counts toward the
-  /// hit/miss counters only when it hits (a miss is recounted by the
-  /// estimate that follows).
+  /// The one counted cache lookup of a request, keyed by
+  /// Query::CanonicalKey() text: true (and `*estimate` set) only on a hit
+  /// that is fresh for the current publication version; a miss, absent or
+  /// stale, counts as a miss. Never runs the model.
   bool ProbeCache(const std::string& canonical_key, double* estimate);
 
   /// Atomically publishes `fresh` (trained off to the side, e.g. by
@@ -177,14 +174,6 @@ class MscnEstimator : public CardinalityEstimator {
     uint64_t version = 0;
     double value = 0.0;
   };
-
-  /// Shared lookup behind ProbeCache (peek: count_miss=false) and the
-  /// EstimateBatch miss partition (authoritative: count_miss=true).
-  /// Freshness is judged against `version` — the caller's snapshot's, so
-  /// one EstimateBatch call is coherent even while a swap lands
-  /// mid-flight.
-  bool LookupFresh(uint64_t version, const std::string& canonical_key,
-                   double* estimate, bool count_miss);
 
   const Featurizer* featurizer_;
   SwapHandle<const Publication> published_;

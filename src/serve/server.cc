@@ -146,7 +146,6 @@ void EstimatorServer::ScoreMisses(std::vector<Miss>* misses,
   std::vector<const LabeledQuery*> queries;
   std::vector<std::string> keys;
   std::vector<double> estimates;
-  std::vector<uint8_t> cache_hits;
   for (size_t begin = 0; begin < misses->size(); begin += kMaxBatch) {
     const size_t end = std::min(misses->size(), begin + kMaxBatch);
     queries.clear();
@@ -156,8 +155,7 @@ void EstimatorServer::ScoreMisses(std::vector<Miss>* misses,
       keys.push_back(std::move((*misses)[i].key));
     }
     const SteadyClock::time_point start = SteadyClock::now();
-    estimator_->EstimateBatch(queries, std::move(keys), &tape, &estimates,
-                              &cache_hits);
+    estimator_->EstimateBatch(queries, std::move(keys), &tape, &estimates);
     const SteadyClock::time_point done = SteadyClock::now();
 
     {
@@ -175,7 +173,6 @@ void EstimatorServer::ScoreMisses(std::vector<Miss>* misses,
       const Miss& miss = (*misses)[i];
       Response response;
       response.estimate = estimates[i - begin];
-      response.cache_hit = cache_hits[i - begin] != 0;
       response.latency_us = MicrosSince(miss.admitted, done);
       (*responses)[miss.slot] = FormatResponse(response);
     }

@@ -15,9 +15,11 @@
 //     parse (strict)  → Query::Deserialize               ERR InvalidArgument/
 //     validate        → Query::Validate(schema)              Corruption
 //     cache probe     → MscnEstimator::ProbeCache        hit: answered
+//                       (the request's one counted lookup)
 //     annotate        → LabelQuery (sample bitmaps)
 //   then the misses, in chunks of kMaxBatch
-//     score           → MscnEstimator::EstimateBatch (one forward pass)
+//     score           → MscnEstimator::EstimateBatch (one forward pass,
+//                       then cache insert; every response reads cache=miss)
 //   one response line per request line, in request order
 //
 // Batching: the batch is whatever arrived together — one read(2) of a

@@ -80,13 +80,9 @@ class ShardedLruCache {
   /// counter is how lazy stale-entry retirement is observable (capacity
   /// evictions are counted separately). Used by the estimator cache to
   /// retire estimates of a superseded model publication atomically
-  /// with the lookup that discovers them. `count_miss=false` makes the
-  /// lookup a peek: hits (and stale evictions) still count, but an absent
-  /// or stale key does not inflate the miss counter — for probe-then-
-  /// compute callers whose compute path re-runs the counting lookup.
+  /// with the lookup that discovers them.
   template <typename Pred>
-  bool LookupValid(const K& key, V* value, Pred&& valid,
-                   bool count_miss = true) {
+  bool LookupValid(const K& key, V* value, Pred&& valid) {
     Shard& shard = ShardFor(key);
     MutexLock lock(&shard.mu);
     auto it = shard.index.find(key);
@@ -101,7 +97,7 @@ class ShardedLruCache {
       shard.index.erase(it);
       invalidations_.fetch_add(1, std::memory_order_relaxed);
     }
-    if (count_miss) misses_.fetch_add(1, std::memory_order_relaxed);
+    misses_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
 

@@ -1,16 +1,10 @@
 // Tests for the section-5 extensions: per-predicate bitmaps ("More
-// bitmaps"), deep-ensemble uncertainty estimation, and incremental training
-// ("Updates").
-
-#include <cmath>
+// bitmaps") and incremental training ("Updates").
 
 #include <gtest/gtest.h>
 
-#include "core/ensemble.h"
-#include "core/mscn_estimator.h"
 #include "core/trainer.h"
 #include "imdb/imdb.h"
-#include "util/stats.h"
 #include "workload/generator.h"
 
 namespace lc {
@@ -142,91 +136,6 @@ TEST_F(ExtensionsTest, PredicateBitmapModelTrainsAndRoundTrips) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded->dims() == model.dims());
   EXPECT_EQ(loaded->config().variant, FeatureVariant::kPredicateBitmaps);
-}
-
-// ---------- Deep ensembles ----------
-
-TEST_F(ExtensionsTest, EnsembleMembersDifferButAgreeInDistribution) {
-  MscnConfig config = SmallConfig();
-  const Featurizer featurizer(db_, config.variant, samples_->sample_size());
-  const TrainValSplit split = SplitWorkload(*workload_, 0.1, 7);
-  MscnEnsemble ensemble(&featurizer, config, 3, split.train,
-                        split.validation);
-  ASSERT_EQ(ensemble.size(), 3);
-
-  // Members are genuinely different models...
-  const LabeledQuery& probe = *split.validation[0];
-  MscnEstimator a(&featurizer, &ensemble.member(0));
-  MscnEstimator b(&featurizer, &ensemble.member(1));
-  EXPECT_NE(a.Estimate(probe), b.Estimate(probe));
-
-  // ...but on in-distribution queries they mostly agree within a modest
-  // factor, so the ensemble estimate stays accurate.
-  std::vector<double> qerrors;
-  for (size_t i = 0; i < 50; ++i) {
-    const LabeledQuery& query = *split.validation[i];
-    const UncertainEstimate estimate =
-        ensemble.EstimateWithUncertainty(query);
-    EXPECT_GE(estimate.max_estimate, estimate.min_estimate);
-    EXPECT_GE(estimate.cardinality, estimate.min_estimate - 1e-9);
-    EXPECT_LE(estimate.cardinality, estimate.max_estimate + 1e-9);
-    qerrors.push_back(QError(estimate.cardinality,
-                             static_cast<double>(query.cardinality)));
-  }
-  EXPECT_LT(Quantile(qerrors, 0.5), 6.0);
-}
-
-TEST_F(ExtensionsTest, EnsembleSpreadContract) {
-  // Mechanical contract of the uncertainty signal. (Whether the spread
-  // correlates with error is a statistical property of well-trained
-  // ensembles, demonstrated at bench scale by example_uncertainty — it is
-  // not asserted here because the deliberately tiny unit-test models are
-  // too noisy for it.)
-  MscnConfig config = SmallConfig();
-  config.epochs = 4;
-  const Featurizer featurizer(db_, config.variant, samples_->sample_size());
-  const TrainValSplit split = SplitWorkload(*workload_, 0.2, 9);
-  Trainer trainer(&featurizer, config);
-  MscnModel model = trainer.Train(split.train, {}, nullptr);
-
-  // An ensemble of identical members has exactly zero spread and is always
-  // confident.
-  std::vector<MscnModel> clones;
-  const std::string bytes = model.ToBytes();
-  clones.push_back(MscnModel::FromBytes(bytes).value());
-  clones.push_back(MscnModel::FromBytes(bytes).value());
-  MscnEnsemble degenerate(&featurizer, std::move(clones));
-  const LabeledQuery& probe = *split.validation[0];
-  const UncertainEstimate agreed = degenerate.EstimateWithUncertainty(probe);
-  EXPECT_DOUBLE_EQ(agreed.log_spread, 0.0);
-  EXPECT_DOUBLE_EQ(agreed.min_estimate, agreed.max_estimate);
-  EXPECT_TRUE(degenerate.IsConfident(probe, 1.0));
-
-  // Differently-seeded members disagree (positive spread) and the point
-  // estimate lies between the extremes.
-  MscnEnsemble diverse(&featurizer, config, 3, split.train, {});
-  double total_spread = 0.0;
-  for (size_t i = 0; i < 20; ++i) {
-    const UncertainEstimate estimate =
-        diverse.EstimateWithUncertainty(*split.validation[i]);
-    EXPECT_GE(estimate.log_spread, 0.0);
-    EXPECT_LE(estimate.min_estimate, estimate.cardinality + 1e-9);
-    EXPECT_GE(estimate.max_estimate, estimate.cardinality - 1e-9);
-    total_spread += estimate.log_spread;
-  }
-  EXPECT_GT(total_spread, 0.0);
-}
-
-TEST_F(ExtensionsTest, ConfidencePredicate) {
-  MscnConfig config = SmallConfig();
-  const Featurizer featurizer(db_, config.variant, samples_->sample_size());
-  const TrainValSplit split = SplitWorkload(*workload_, 0.1, 11);
-  MscnEnsemble ensemble(&featurizer, config, 2, split.train, {});
-  const LabeledQuery& probe = *split.train[0];
-  EXPECT_TRUE(ensemble.IsConfident(probe, 1e9));
-  EXPECT_FALSE(ensemble.IsConfident(probe, 1.0) &&
-               ensemble.EstimateWithUncertainty(probe).max_estimate >
-                   ensemble.EstimateWithUncertainty(probe).min_estimate);
 }
 
 // ---------- Incremental training ----------

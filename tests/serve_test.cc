@@ -246,11 +246,45 @@ TEST_F(ServeTest, ServerEstimatesBitMatchDirectEstimateAll) {
   const serve::Stats stats = server.GetStats();
   EXPECT_EQ(stats.admission_cache_hits, kCount);
   EXPECT_EQ(stats.served, 2 * kCount);
-  // Exactly one counted miss per cold request: the admission probe is a
-  // peek, only EstimateBatch's authoritative lookup counts.
+  // Exactly one counted miss per cold request: the admission probe is the
+  // only lookup, and EstimateBatch only inserts.
   const CacheCounters counters = estimator.cache_counters();
   EXPECT_EQ(counters.misses, kCount);
   EXPECT_EQ(counters.insertions, kCount);
+}
+
+// A query repeated within one HandleLines call but in a later score chunk
+// finds the cache filled by the earlier chunk. Its admission probe has
+// already missed, so it is scored again and answered cache=miss: every
+// cache=hit response is one the hit counters saw.
+TEST_F(ServeTest, RepeatInLaterScoreChunkIsCountedAsItIsAnswered) {
+  MscnEstimator estimator(featurizer_, model_, "MSCN",
+                          /*cache_capacity=*/256);
+  serve::EstimatorServer server(&estimator, &db_->schema(), samples_);
+
+  const size_t kMaxBatch = serve::EstimatorServer::kMaxBatch;
+  const std::vector<const LabeledQuery*> pointers = QueryPointers(kMaxBatch);
+  const std::vector<double> direct = estimator.EstimateAll(pointers, 16);
+  std::vector<std::string> lines;
+  for (const LabeledQuery* query : pointers) {
+    lines.push_back(query->query.Serialize());
+  }
+  lines.push_back(lines[0]);  // Line kMaxBatch: first of the second chunk.
+
+  const std::vector<std::string> responses = server.HandleLines(lines);
+  ASSERT_EQ(responses.size(), lines.size());
+  size_t hit_responses = 0;
+  for (const std::string& response : responses) {
+    if (response.find("cache=hit") != std::string::npos) ++hit_responses;
+  }
+  const serve::Stats stats = server.GetStats();
+  EXPECT_EQ(hit_responses, stats.admission_cache_hits);
+  EXPECT_NE(server.FormatStatsLine().find(
+                lc::Format("cache_hits=%zu ", hit_responses)),
+            std::string::npos)
+      << server.FormatStatsLine();
+  EXPECT_EQ(EstimateOf(responses[kMaxBatch]), EstimateOf(responses[0]));
+  EXPECT_EQ(EstimateOf(responses[kMaxBatch]), direct[0]);
 }
 
 TEST_F(ServeTest, ProtocolRejectsMalformedInputWithErrLines) {
